@@ -34,11 +34,20 @@ _STATE_NAMES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--out", default=default_out, help=f"output path (default {default_out})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=1, help="parallel grid evaluation hint")
-    parser.add_argument("--dense-cap", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="parallel grid evaluation hint")
+    parser.add_argument("--dense-cap", type=_positive_int, default=None,
                         help="override the dense-engine qubit cap (default 12)")
 
 
@@ -85,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="run every module invariant; exit 0 iff all pass")
     pv.add_argument("--fast", action="store_true", help="smaller grids (development aid)")
-    pv.add_argument("--dense-cap", type=int, default=None)
+    pv.add_argument("--dense-cap", type=_positive_int, default=None)
 
     return parser
 
@@ -106,7 +115,7 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if getattr(args, "dense_cap", None):
+    if args.dense_cap is not None:
         set_dense_cap(args.dense_cap)
     try:
         return _dispatch(args)

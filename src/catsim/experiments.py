@@ -127,13 +127,22 @@ def _round12(x: float) -> float:
 
 
 def p_grid(p_min: float, p_max: float, p_step: float) -> list:
-    """Inclusive arithmetic grid; endpoints land exactly on multiples of step."""
+    """Inclusive arithmetic grid p_min + i * p_step over [p_min, p_max].
+
+    The endpoint is kept when it lies on the grid up to rounding; a last
+    point that rounding carries past p_max is clamped to p_max.
+    """
+    if not all(math.isfinite(x) for x in (p_min, p_max, p_step)):
+        raise ValueError(f"grid bounds and step must be finite, got {p_min}, {p_max}, {p_step}")
     if p_step <= 0:
         raise ValueError(f"p step must be > 0, got {p_step}")
     if p_max < p_min:
         raise ValueError(f"empty grid: p_max {p_max} < p_min {p_min}")
-    count = int(math.floor((p_max - p_min) / p_step + 1e-9)) + 1
-    return [p_min + i * p_step for i in range(count)]
+    span = (p_max - p_min) / p_step
+    if not math.isfinite(span):
+        raise ValueError(f"step {p_step} is too small for the range [{p_min}, {p_max}]")
+    count = int(math.floor(span + 1e-9)) + 1
+    return [min(p_min + i * p_step, p_max) for i in range(count)]
 
 
 def _map_points(fn: Callable, points: Sequence, threads: int) -> list:

@@ -36,17 +36,17 @@ def _check_prob(p: float) -> float:
     return p
 
 
-def _depolarize_elements(mat: np.ndarray, n: int, q: int, p: float) -> np.ndarray:
-    """Apply the channel to qubit q of a raw 2^n x 2^n matrix."""
+def _depolarize_inplace(mat: np.ndarray, n: int, q: int, p: float) -> None:
+    """Apply the channel to qubit q of a C-contiguous 2^n x 2^n matrix, in place."""
     if p == 0.0:
-        return mat
+        return
     a, b = 2**q, 2 ** (n - 1 - q)
-    t = mat.reshape(a, 2, b, a, 2, b)
+    t = mat.reshape(a, 2, b, a, 2, b)   # a view, so writes land in mat
     marginal = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]   # tr_q rho
-    out = (1.0 - p) * t
-    out[:, 0, :, :, 0, :] += (p / 2.0) * marginal
-    out[:, 1, :, :, 1, :] += (p / 2.0) * marginal
-    return out.reshape(mat.shape)
+    marginal *= p / 2.0
+    t *= 1.0 - p
+    t[:, 0, :, :, 0, :] += marginal
+    t[:, 1, :, :, 1, :] += marginal
 
 
 def depolarize_qubit(rho: DensityMatrix, q: int, p: float) -> DensityMatrix:
@@ -54,19 +54,22 @@ def depolarize_qubit(rho: DensityMatrix, q: int, p: float) -> DensityMatrix:
     p = _check_prob(p)
     if not 0 <= q < rho.n_qubits:
         raise ValueError(f"qubit index {q} outside 0..{rho.n_qubits - 1}")
-    return DensityMatrix(rho.n_qubits, _depolarize_elements(rho.elements, rho.n_qubits, q, p))
+    mat = rho.elements.copy()
+    _depolarize_inplace(mat, rho.n_qubits, q, p)
+    return DensityMatrix(rho.n_qubits, mat)
 
 
 def depolarize_all(rho: DensityMatrix, p: float) -> DensityMatrix:
     """Depolarize every qubit with the same strength.
 
     Channels on distinct qubits commute, so the application order is
-    immaterial; p = 1 yields the maximally mixed state.
+    immaterial; p = 1 yields the maximally mixed state.  All channels act
+    on one working copy of the input.
     """
     p = _check_prob(p)
-    mat = np.array(rho.elements)
+    mat = rho.elements.copy()
     for q in range(rho.n_qubits):
-        mat = _depolarize_elements(mat, rho.n_qubits, q, p)
+        _depolarize_inplace(mat, rho.n_qubits, q, p)
     return DensityMatrix(rho.n_qubits, mat)
 
 

@@ -7,10 +7,14 @@ import catsim
 from catsim import (
     Bipartition,
     CapacityError,
+    CatStateKind,
     DensityMatrix,
     PureState,
     Spectrum,
+    build_cat,
+    depolarize_all,
     hermitian_spectrum,
+    lose_particles,
     partial_trace,
     partial_transpose,
     permute_qubits,
@@ -19,6 +23,7 @@ from catsim import (
     to_density,
     w_cat,
 )
+from catsim.core import _block_labels
 from conftest import as_density, lossy_wcat_matrix, random_pure
 
 
@@ -232,6 +237,107 @@ class TestHermitianSpectrum:
         ev1 = hermitian_spectrum(pt).eigenvalues
         ev2 = hermitian_spectrum(pt).eigenvalues
         assert np.array_equal(ev1, ev2)
+
+
+def noisy_pt(kind: CatStateKind, N: int, m: int, p: float, l: int = 2) -> np.ndarray:
+    """Micro : macro partial transpose of a cat after losing m qubits and depolarizing."""
+    rho = depolarize_all(lose_particles(to_density(build_cat(kind, N, l=l)), m), p)
+    return partial_transpose(rho, (0,))
+
+
+def block_sizes(mat: np.ndarray) -> list:
+    labels = _block_labels(np.asarray(mat, dtype=complex))
+    return sorted(np.bincount(labels)[np.unique(labels)].tolist())
+
+
+def max_spectrum_deviation(mat: np.ndarray) -> float:
+    """Block-wise spectrum against one full eigensolve of the same matrix."""
+    return float(np.max(np.abs(hermitian_spectrum(mat).eigenvalues - np.linalg.eigvalsh(mat))))
+
+
+class TestBlockSpectrum:
+    """hermitian_spectrum solves each exact block; full eigvalsh is the reference."""
+
+    def test_wcat_blocks_at_eleven_qubits(self):
+        # excitation-number sectors of the PT: largest 462 = C(11, 5) of 2048
+        pt = noisy_pt(CatStateKind.W_CAT, 10, 0, 0.3)
+        sizes = block_sizes(pt)
+        assert sum(sizes) == 2048 and max(sizes) == 462
+        assert max_spectrum_deviation(pt) <= 1e-12
+
+    def test_ghz_blocks_at_eleven_qubits(self):
+        pt = noisy_pt(CatStateKind.GHZ_CAT, 10, 0, 0.2)
+        assert max(block_sizes(pt)) <= 2
+        assert max_spectrum_deviation(pt) <= 1e-12
+
+    @pytest.mark.parametrize("kind,N,l", [
+        (CatStateKind.W_CAT, 8, 2),          # 9 qubits
+        (CatStateKind.GHZ_CAT, 7, 2),        # 8 qubits
+        (CatStateKind.PSI1_G_STATE, 8, 2),   # 9 qubits
+        (CatStateKind.PSI2, 9, 2),           # 10 qubits
+        (CatStateKind.PSI3_CONCAT, 3, 2),    # 8 qubits
+    ])
+    @pytest.mark.parametrize("m,p", [(0, 0.05), (1, 0.4), (2, 0.0)])
+    def test_cat_spectra_match_full_solve(self, kind, N, l, m, p):
+        if kind is CatStateKind.PSI3_CONCAT and m:
+            m *= l  # psi3 loses whole blocks of l physical qubits
+        assert max_spectrum_deviation(noisy_pt(kind, N, m, p, l=l)) <= 1e-12
+
+    def test_dense_matrix_is_one_block(self, rng):
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        herm = (a + a.conj().T) / 2
+        assert block_sizes(herm) == [64]
+        # one block means one eigensolve of the matrix as it stands
+        assert np.array_equal(hermitian_spectrum(herm).eigenvalues, np.linalg.eigvalsh(herm))
+
+    def test_scrambled_chains(self, rng):
+        # two chains of nearest-neighbour links (200 and 100 states) in a
+        # random basis order: labels must travel the whole length of each
+        chain = np.diag(np.ones(299), 1)
+        chain[199, 200] = 0.0
+        chain += chain.T
+        perm = rng.permutation(300)
+        mixed = chain[np.ix_(perm, perm)]
+        assert block_sizes(mixed) == [100, 200]
+        assert max_spectrum_deviation(mixed) <= 1e-12
+
+    def test_zero_rows_are_singleton_blocks(self):
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[0, 3] = mat[3, 0] = 1.0
+        assert block_sizes(mat) == [1, 1, 2]
+        assert_allclose(hermitian_spectrum(mat).eigenvalues, [-1.0, 0.0, 0.0, 1.0])
+
+    def test_one_sided_entry_still_couples(self):
+        # within the Hermiticity tolerance an entry may face an exact zero;
+        # the block search treats the link as two-sided
+        mat = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        mat[0, 2] = 1e-11
+        assert block_sizes(mat) == [1, 2]
+        assert max_spectrum_deviation(mat) <= 1e-12
+
+    def test_empty_matrix(self):
+        assert hermitian_spectrum(np.zeros((0, 0))).eigenvalues.size == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+)
+def test_permuted_block_diagonal_spectrum(seed, sizes):
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    mat = np.zeros((d, d), dtype=complex)
+    start = 0
+    for s in sizes:
+        a = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        mat[start:start + s, start:start + s] = (a + a.conj().T) / 2
+        start += s
+    perm = rng.permutation(d)
+    mixed = mat[np.ix_(perm, perm)]
+    assert block_sizes(mixed) == sorted(sizes)
+    assert max_spectrum_deviation(mixed) <= 1e-12
+    assert_allclose(hermitian_spectrum(mixed).eigenvalues, np.linalg.eigvalsh(mat), atol=1e-12)
 
 
 class TestPermuteQubits:

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catsim.analytic
-from catsim import CatStateKind
+from catsim import CatStateKind, get_dense_cap, set_dense_cap
 from catsim.cli import main
 from catsim.experiments import (
     CSV_HEADER,
@@ -38,6 +39,49 @@ class TestPGrid:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             p_grid(0.0, 1.0, 0.0)
+
+    def test_rounding_past_p_max_is_clamped(self):
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002
+        grid = p_grid(0.09, 1.0, 0.07)
+        assert len(grid) == 14 and grid[-1] == 1.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        for args in ((bad, 1.0, 0.1), (0.0, bad, 0.1), (0.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                p_grid(*args)
+
+    def test_step_below_float_range_rejected(self):
+        with pytest.raises(ValueError, match="too small"):
+            p_grid(0.0, 1.0, 1e-320)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p_min=st.floats(0.0, 1.0),
+    p_max=st.floats(0.0, 1.0),
+    p_step=st.floats(1e-3, 1.0),
+)
+def test_p_grid_stays_in_bounds(p_min, p_max, p_step):
+    p_min, p_max = min(p_min, p_max), max(p_min, p_max)
+    grid = p_grid(p_min, p_max, p_step)
+    assert grid[0] == p_min
+    assert all(p_min <= p <= p_max for p in grid)
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.integers(0, 999),
+    step=st.integers(1, 1000),
+    k=st.integers(0, 1000),
+)
+def test_p_grid_keeps_an_endpoint_on_the_grid(start, step, k):
+    # decimal inputs as typed on the command line: p_max = p_min + k * p_step exactly
+    p_min, p_step, p_max = start / 1000, step / 1000, (start + k * step) / 1000
+    grid = p_grid(p_min, p_max, p_step)
+    assert len(grid) == k + 1
+    assert abs(grid[-1] - p_max) <= 1e-12 and grid[-1] <= p_max
 
 
 class TestRecords:
@@ -271,6 +315,49 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--state", "nosuch", "--n", "4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--dense-cap", "0"), ("--dense-cap", "-2"), ("--threads", "0"), ("--threads", "-3"),
+    ])
+    def test_counts_below_one_exit_code(self, flag, value, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--state", "wcat", "--n", "4", flag, value,
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert get_dense_cap() == 12
+
+    def test_validate_dense_cap_below_one_exit_code(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--fast", "--dense-cap", "0"])
+        assert exc.value.code == 2
+
+    def test_dense_cap_flag_applies(self, tmp_path):
+        try:
+            code = main([
+                "sweep", "--state", "wcat", "--n", "4", "--dense-cap", "4",
+                "--p-min", "0", "--p-max", "0", "--p-step", "1",
+                "--out", str(tmp_path / "x.csv"),
+            ])
+        finally:
+            set_dense_cap(12)
+        assert code == 3  # 5 qubits exceed a cap of 4
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_grid_exit_code(self, value, tmp_path):
+        code = main([
+            "sweep", "--state", "wcat", "--n", "4", f"--p-max={value}",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+
+    def test_grid_rounding_past_one(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main([
+            "sweep", "--state", "wcat", "--n", "4",
+            "--p-min", "0.09", "--p-max", "1.0", "--p-step", "0.07", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(out.read_text().strip().split("\n")) == 15  # header + 14 points
 
     def test_validate_fast_exit_zero(self, capsys):
         assert main(["validate", "--fast"]) == 0

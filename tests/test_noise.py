@@ -99,6 +99,17 @@ class TestDepolarizeAll:
             rev = depolarize_qubit(rev, q, 0.37)
         assert_allclose(fwd.elements, rev.elements, atol=1e-14)
 
+    def test_same_kernel_as_single_qubit_channel(self, rng):
+        # depolarize_all works in place on one copy; it must do exactly what
+        # depolarize_qubit does qubit by qubit, and leave its input alone
+        rho = to_density(random_pure(rng, 4))
+        before = rho.elements.copy()
+        step = rho
+        for q in range(rho.n_qubits):
+            step = depolarize_qubit(step, q, 0.29)
+        assert np.array_equal(depolarize_all(rho, 0.29).elements, step.elements)
+        assert np.array_equal(rho.elements, before)
+
     @pytest.mark.parametrize("N,p", [(4, 0.3), (5, 0.1)])
     def test_w_coherence_element(self, N, p):
         # <0, e_i| rho |1, 0...0> = (1/2) (1/sqrt(N)) (1-p)^2 (1-p/2)^(N-1)
