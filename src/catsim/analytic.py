@@ -27,8 +27,9 @@ import logging
 import math
 from dataclasses import dataclass
 
+from .cats import CatStateKind
 from .core import TOL
-from .entanglement import bisect_threshold
+from .entanglement import vanishing_noise_threshold
 
 __all__ = [
     "WCatParams",
@@ -126,6 +127,16 @@ class DominantPair:
     multiplicity1: int
     multiplicity2: int
 
+    @property
+    def negativity(self) -> float:
+        """Negativity of the two roots, each counted with its multiplicity;
+        roots above -1e-15 are rounding residue and contribute nothing."""
+        nu = 0.0
+        for lam, mult in ((self.lambda1, self.multiplicity1), (self.lambda2, self.multiplicity2)):
+            if lam < TOL.formula_clamp:
+                nu -= mult * lam
+        return nu
+
 
 def _pow(base: float, k: int, log_domain: bool) -> float:
     """base**k for integer k (possibly negative), base in (0, 1]."""
@@ -219,17 +230,8 @@ def dominant_eigenvalues(params: WCatParams) -> DominantPair:
 
 
 def approx_negativity(params: WCatParams) -> float:
-    """Negativity carried by the two dominant eigenvalues.
-
-    Each root is counted with its multiplicity; roots above -1e-15 are
-    rounding residue and contribute nothing.
-    """
-    pair = dominant_eigenvalues(params)
-    nu = 0.0
-    for lam, mult in ((pair.lambda1, pair.multiplicity1), (pair.lambda2, pair.multiplicity2)):
-        if lam < TOL.formula_clamp:
-            nu -= mult * lam
-    return nu
+    """Negativity carried by the two dominant eigenvalues."""
+    return dominant_eigenvalues(params).negativity
 
 
 def approx_log_negativity(params: WCatParams) -> float:
@@ -255,10 +257,7 @@ def large_n_threshold(N: int, m: int, *, resolution: float = 1e-4) -> float:
     """Depolarizing strength where the two-eigenvalue negativity dies.
 
     Bisection to |dp| <= resolution of the largest p with negativity above
-    1e-9; closed-form only, so N in the thousands is instantaneous.
+    1e-9: ``vanishing_noise_threshold`` on the closed-form engine, so N in
+    the thousands is instantaneous.  Needs N - m >= 2.
     """
-    if N - m < 2:
-        raise ValueError(f"large_n_threshold needs N - m >= 2, got {N - m}")
-    return bisect_threshold(
-        lambda p: approx_negativity(WCatParams(N=N, m=m, p=p)), resolution=resolution
-    )
+    return vanishing_noise_threshold(CatStateKind.W_CAT, N, m, "analytic", resolution=resolution)

@@ -24,6 +24,7 @@ import sys
 from . import experiments
 from .cats import CatStateKind
 from .core import CapacityError, set_dense_cap
+from .entanglement import ENGINES
 
 _STATE_NAMES = {
     "wcat": CatStateKind.W_CAT,
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True, help="macro (logical) qubit count N")
     ps.add_argument("--m", type=int, default=0, help="macro qubits lost (default 0)")
     ps.add_argument("--l", type=int, default=2, help="physical qubits per block (psi3 only)")
-    ps.add_argument("--engine", choices=("oracle", "analytic", "both"), default="oracle")
+    ps.add_argument("--engine", choices=(*ENGINES, "both"), default="oracle")
     _add_grid(ps, 0.0, 1.0, 0.01)
     _add_common(ps, "sweep.csv")
 

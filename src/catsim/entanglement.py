@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import TOL, Bipartition, DensityMatrix, hermitian_spectrum, partial_transpose, to_density
 from .cats import CatStateKind, build_cat
@@ -25,6 +25,8 @@ __all__ = [
     "measure",
     "critical_visibility",
     "bisect_threshold",
+    "ENGINES",
+    "engine_curve",
     "vanishing_noise_threshold",
 ]
 
@@ -49,8 +51,13 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """
     if cut.n_qubits != rho.n_qubits:
         raise ValueError(f"cut covers {cut.n_qubits} qubits, state has {rho.n_qubits}")
-    ev = hermitian_spectrum(partial_transpose(rho, cut.side_a)).eigenvalues
-    neg = ev[ev < TOL.eigenvalue_clamp]
+    return _pt_negativity(hermitian_spectrum(partial_transpose(rho, cut.side_a)).eigenvalues)
+
+
+def _pt_negativity(eigenvalues) -> float:
+    """Negativity read off a partial-transpose spectrum, with eigenvalues in
+    (-1e-10, 0) clamped to zero."""
+    neg = eigenvalues[eigenvalues < TOL.eigenvalue_clamp]
     return float(-neg.sum()) if neg.size else 0.0
 
 
@@ -115,6 +122,41 @@ def bisect_threshold(
     return lo
 
 
+def _oracle_curve(kind: CatStateKind, N: int, m: int, l: int, micro: Iterable[int]) -> Callable:
+    rho = lose_particles(to_density(build_cat(kind, N, l=l)), m)
+    cut = Bipartition.split(micro, rho.n_qubits)
+    return lambda p: (negativity(depolarize_all(rho, p), cut), None, None)
+
+
+def _closed_form_curve(kind: CatStateKind, N: int, m: int, l: int, micro: Iterable[int]) -> Callable:
+    if kind is not CatStateKind.W_CAT:
+        raise ValueError(f"the analytic engine only covers {CatStateKind.W_CAT.value}, got {kind.value}")
+    from .analytic import WCatParams, dominant_eigenvalues
+
+    def point(p: float) -> tuple:
+        pair = dominant_eigenvalues(WCatParams(N=N, m=m, p=p))
+        return pair.negativity, pair.lambda1, pair.lambda2
+
+    return point
+
+
+# The engines: each maps a cat family, N, m, the psi3 block size l and the
+# micro side of the cut to a curve p -> (negativity, lambda1, lambda2).
+# "oracle" is the exact dense engine (lambdas None, up to the dense cap);
+# "analytic" is the two-root closed form, W-cat only, at any N.
+ENGINES = {"oracle": _oracle_curve, "analytic": _closed_form_curve}
+
+
+def engine_curve(
+    engine: str, kind: CatStateKind, N: int, m: int, *, l: int = 2, micro: Iterable[int] = (0,)
+) -> Callable:
+    """One engine's curve for (kind, N, m); the p-independent work (state,
+    loss, cut) is done here, once."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
+    return ENGINES[engine](kind, N, m, l, micro)
+
+
 def vanishing_noise_threshold(
     kind: CatStateKind,
     N: int,
@@ -126,28 +168,12 @@ def vanishing_noise_threshold(
 ) -> float:
     """Depolarizing strength at which the micro : macro entanglement dies.
 
-    ``engine="oracle"`` builds the state, loses m macro qubits, depolarizes
-    the survivors and diagonalizes the partial transpose exactly;
-    ``engine="analytic"`` (W-cat only) uses the closed-form dominant
-    eigenvalues and has no qubit-count limit.
+    Bisects the negativity of ``engine``'s curve: ``"oracle"`` loses m macro
+    qubits, depolarizes the survivors and diagonalizes the partial transpose
+    exactly; ``"analytic"`` (W-cat only) uses the closed-form dominant
+    eigenvalues and has no qubit-count limit.  The cut is physical qubit 0
+    against the rest for every family; for psi3 that is one qubit of the
+    micro block, not the logical micro qubit that sweep rows cut.
     """
-    if engine == "analytic":
-        if kind is not CatStateKind.W_CAT:
-            raise ValueError(f"the analytic engine only covers {CatStateKind.W_CAT}, got {kind}")
-        from .analytic import WCatParams, approx_negativity
-
-        return bisect_threshold(
-            lambda p: approx_negativity(WCatParams(N=N, m=m, p=p)), resolution=resolution
-        )
-    if engine != "oracle":
-        raise ValueError(f"engine must be 'oracle' or 'analytic', got {engine!r}")
-
-    base = lose_particles(to_density(build_cat(kind, N, l=l)), m)
-    if base.n_qubits < 2:
-        raise ValueError("no macro qubits survive; the micro:macro cut is empty")
-    cut = Bipartition.micro_macro(base.n_qubits)
-
-    def neg_of_p(p: float) -> float:
-        return negativity(depolarize_all(base, p), cut)
-
-    return bisect_threshold(neg_of_p, resolution=resolution)
+    curve = engine_curve(engine, kind, N, m, l=l)
+    return bisect_threshold(lambda p: curve(p)[0], resolution=resolution)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catsim.analytic
-from catsim import CatStateKind, get_dense_cap, set_dense_cap
+from catsim import CatStateKind, get_dense_cap, set_dense_cap, vanishing_noise_threshold
 from catsim.cli import main
 from catsim.experiments import (
     CSV_HEADER,
     LOSS_CSV_HEADER,
+    LossRecord,
     SweepRecord,
     fig1_records,
     fig2_records,
@@ -54,6 +55,12 @@ class TestPGrid:
     def test_step_below_float_range_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             p_grid(0.0, 1.0, 1e-320)
+
+    def test_more_than_a_million_points_rejected(self):
+        assert len(p_grid(0.0, 999_999.0, 1.0)) == 10**6
+        for step in (1.0, 1e-12):
+            with pytest.raises(ValueError, match="points"):
+                p_grid(0.0, 1e6 * step, step)
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,6 +118,44 @@ class TestRecords:
         line = render_csv([rec]).split("\n")[1]
         assert line == "WCat,4,0,0.3,0.333333333333,oracle,,"
 
+    def test_render_contract(self):
+        # exact bytes of the renderers: a None lambda, l=None, l=2, 12-digit floats
+        sweep = [
+            SweepRecord("WCat", 8, 2, 0.1 + 0.2, 2 / 3, "analytic", -0.41234567890123456, -1.5e-17),
+            SweepRecord("WCat", 1000, 100, 0.050390625, math.log2(1.9), "analytic", -0.45, None),
+            SweepRecord("GhzCat", 9, 0, 0.005, 0.0, "oracle"),
+        ]
+        loss = [
+            LossRecord("Psi1GState", None, 4, 1, "last_m", 0.12345678901234567, "entangled"),
+            LossRecord("Psi3Concat", 2, 2, 2, "cross_block", 2.5e-13, "ppt"),
+        ]
+        assert render_csv(sweep) == (
+            "state,N,m,p,entanglement,engine,lambda1,lambda2\n"
+            "WCat,8,2,0.3,0.666666666667,analytic,-0.412345678901,-1.5e-17\n"
+            "WCat,1000,100,0.050390625,0.925999418556,analytic,-0.45,\n"
+            "GhzCat,9,0,0.005,0,oracle,,\n"
+        )
+        assert render_json(sweep) == (
+            '[\n {\n  "state": "WCat",\n  "N": 8,\n  "m": 2,\n  "p": 0.3,\n'
+            '  "entanglement": 0.666666666667,\n  "engine": "analytic",\n'
+            '  "lambda1": -0.412345678901,\n  "lambda2": -1.5e-17\n },\n'
+            ' {\n  "state": "WCat",\n  "N": 1000,\n  "m": 100,\n  "p": 0.050390625,\n'
+            '  "entanglement": 0.925999418556,\n  "engine": "analytic",\n  "lambda1": -0.45\n },\n'
+            ' {\n  "state": "GhzCat",\n  "N": 9,\n  "m": 0,\n  "p": 0.005,\n'
+            '  "entanglement": 0.0,\n  "engine": "oracle"\n }\n]\n'
+        )
+        assert render_csv(loss) == (
+            "state,l,N,m,lost,negativity,verdict\n"
+            "Psi1GState,,4,1,last_m,0.123456789012,entangled\n"
+            "Psi3Concat,2,2,2,cross_block,2.5e-13,ppt\n"
+        )
+        assert render_json(loss) == (
+            '[\n {\n  "state": "Psi1GState",\n  "l": null,\n  "N": 4,\n  "m": 1,\n'
+            '  "lost": "last_m",\n  "negativity": 0.123456789012,\n  "verdict": "entangled"\n },\n'
+            ' {\n  "state": "Psi3Concat",\n  "l": 2,\n  "N": 2,\n  "m": 2,\n'
+            '  "lost": "cross_block",\n  "negativity": 2.5e-13,\n  "verdict": "ppt"\n }\n]\n'
+        )
+
     def test_json_matches_csv_fields(self):
         recs = sweep_records(CatStateKind.W_CAT, 4, 1, [0.05], engine="both")
         rows = json.loads(render_json(recs))
@@ -138,6 +183,17 @@ class TestSweep:
     def test_analytic_restricted_to_wcat(self):
         with pytest.raises(ValueError, match="analytic"):
             sweep_records(CatStateKind.GHZ_CAT, 4, 0, [0.0], engine="analytic")
+
+    @pytest.mark.parametrize("engine", ["exact", "Oracle", ""])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ValueError, match="engine"):
+            sweep_records(CatStateKind.W_CAT, 4, 0, [0.0], engine=engine)
+        with pytest.raises(ValueError, match="engine"):
+            vanishing_noise_threshold(CatStateKind.W_CAT, 4, 0, engine)
+
+    def test_both_is_not_a_threshold_engine(self):
+        with pytest.raises(ValueError, match="engine"):
+            vanishing_noise_threshold(CatStateKind.W_CAT, 4, 0, "both")
 
     def test_psi3_oracle_sweep(self):
         recs = sweep_records(CatStateKind.PSI3_CONCAT, 1, 0, [0.0, 0.1], engine="oracle", l=2)
@@ -180,7 +236,7 @@ class TestFigureData:
                 assert abs(rec.entanglement - 1.0) <= 1e-10
 
     def test_fig3_is_analytic_surface(self):
-        recs = fig3_records(N=5, m_max=2, grid=[0.0, 0.1], crosscheck=True)
+        recs = fig3_records(N=5, m_max=2, grid=[0.0, 0.1])
         assert len(recs) == 6
         assert all(r.engine == "analytic" for r in recs)
         e_at = {(r.m, r.p): r.entanglement for r in recs}
@@ -307,6 +363,23 @@ class TestCli:
         code = main([
             "sweep", "--state", "psi1", "--n", "4", "--engine", "analytic",
             "--p-min", "0", "--p-max", "0", "--p-step", "1",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+
+    def test_analytic_family_error_precedes_dense_allocation(self, tmp_path):
+        # 15 qubits would be a capacity error (exit 3); the closed form's
+        # W-cat-only refusal must come first
+        code = main([
+            "sweep", "--state", "psi1", "--n", "14", "--engine", "both",
+            "--p-min", "0", "--p-max", "0", "--p-step", "1",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+
+    def test_tiny_step_exit_code(self, tmp_path):
+        code = main([
+            "sweep", "--state", "wcat", "--n", "4", "--p-step", "1e-12",
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
