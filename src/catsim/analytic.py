@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .cats import CatStateKind
 from .core import TOL
-from .entanglement import vanishing_noise_threshold
+from .entanglement import _ebits, vanishing_noise_threshold
 
 __all__ = [
     "WCatParams",
@@ -241,7 +241,7 @@ def approx_log_negativity(params: WCatParams) -> float:
     discarded blocks shave off a correction of order 1e-2 ebits or less in
     the regimes of interest.
     """
-    return math.log2(2.0 * approx_negativity(params) + 1.0)
+    return _ebits(approx_negativity(params))
 
 
 def loss_only_entanglement(N: int, m: int) -> float:

@@ -23,7 +23,7 @@ import sys
 
 from . import experiments
 from .cats import CatStateKind
-from .core import CapacityError, set_dense_cap
+from .core import CapacityError, get_dense_cap, set_dense_cap
 from .entanglement import ENGINES
 
 _STATE_NAMES = {
@@ -116,6 +116,7 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    previous_cap = get_dense_cap()
     if args.dense_cap is not None:
         set_dense_cap(args.dense_cap)
     try:
@@ -126,6 +127,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_dense_cap(previous_cap)  # the cap is process-wide; a run must not leak it
 
 
 def _dispatch(args) -> int:

@@ -2,7 +2,10 @@
 
 Everything downstream (noise channels, entanglement measures, closed-form
 cross-checks) is validated against the operations in this module, so they are
-kept deliberately simple: plain numpy arrays wrapped in thin validated types.
+kept deliberately simple: plain numpy arrays wrapped in thin types, validated
+where a caller's state or array enters.  The package's own maps keep the
+invariants, so their results are not checked again; the test suite and
+``catsim validate`` measure that they keep them.
 
 Spectra are exact but not brute force.  The noisy cat states and their
 partial transposes are block diagonal in the computational basis, up to a
@@ -20,7 +23,7 @@ microscopic qubit of every cat state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,7 +61,6 @@ class Tolerances:
     trace: float = 1e-12              # |tr - 1| for density matrices
     positivity: float = -1e-10        # smallest admissible eigenvalue
     hermitian_input: float = 1e-10    # hermiticity required of eigensolver input
-    spectrum_residual: float = 1e-9   # ||Mv - ev*v|| per eigenpair
     pt_trace: float = 1e-10           # |tr - 1| of a partial-transpose spectrum
     eigenvalue_clamp: float = -1e-10  # PT eigenvalues above this count as zero
     formula_clamp: float = -1e-15     # closed-form eigenvalues above this count as zero
@@ -138,17 +140,23 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace operator over ``n_qubits`` qubits.
 
-    Hermiticity and trace are enforced at construction.  Positivity (min
-    eigenvalue >= -1e-10) is an invariant of everything this package
-    produces but is O(dim^3) to check, so it is verified by the test suite
-    and the ``validate`` command rather than on every construction; use
-    :meth:`min_eigenvalue` to check a particular instance.
+    Hermiticity and trace are enforced when a caller constructs one.  The
+    maps (and ``negativity``'s partial transpose) build with the private
+    ``_trusted=True`` form, which runs no check: each only permutes entries
+    or adds conjugate pairs with real weights, so its output's defects are
+    at most its input's (summed for ``tensor``), plus rounding.  Positivity
+    (min eigenvalue >= -1e-10) is O(dim^3) to check.  The tests and ``validate``
+    verify all three on map results; :meth:`min_eigenvalue` checks one state.
     """
 
     n_qubits: int
     elements: np.ndarray
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _trusted):
+        if _trusted:
+            object.__setattr__(self, "elements", _readonly(self.elements))
+            return
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         _check_capacity(self.n_qubits)
@@ -241,7 +249,7 @@ def tensor(a, b):
         return PureState(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         _check_capacity(a.n_qubits + b.n_qubits)
-        return DensityMatrix(a.n_qubits + b.n_qubits, np.kron(a.elements, b.elements))
+        return DensityMatrix(a.n_qubits + b.n_qubits, np.kron(a.elements, b.elements), _trusted=True)
     raise TypeError(
         f"tensor requires two PureState or two DensityMatrix operands, "
         f"got {type(a).__name__} and {type(b).__name__}"
@@ -250,7 +258,7 @@ def tensor(a, b):
 
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi|."""
-    return DensityMatrix(psi.n_qubits, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    return DensityMatrix(psi.n_qubits, np.outer(psi.amplitudes, psi.amplitudes.conj()), _trusted=True)
 
 
 def partial_trace(rho: DensityMatrix, drop: Iterable[int]) -> DensityMatrix:
@@ -272,7 +280,7 @@ def partial_trace(rho: DensityMatrix, drop: Iterable[int]) -> DensityMatrix:
     for q in sorted(drop_set, reverse=True):
         t = np.trace(t, axis1=q, axis2=q + remaining)
         remaining -= 1
-    return DensityMatrix(remaining, t.reshape(2**remaining, 2**remaining))
+    return DensityMatrix(remaining, t.reshape(2**remaining, 2**remaining), _trusted=True)
 
 
 def partial_transpose(rho, side: Sequence[int]) -> np.ndarray:
@@ -350,9 +358,9 @@ def _block_labels(mat: np.ndarray) -> np.ndarray:
 def hermitian_spectrum(op) -> Spectrum:
     """Eigenvalues of a Hermitian operator, ascending.
 
-    Accepts a DensityMatrix or a square ndarray (e.g. a partial transpose).
-    Rejects input whose hermiticity defect exceeds 1e-10.  Output is
-    deterministic for identical input.
+    Accepts a DensityMatrix, Hermitian by construction, or a square ndarray
+    (e.g. a partial transpose), which is rejected if its hermiticity defect
+    exceeds 1e-10.  Output is deterministic for identical input.
 
     The basis indices are split into the connected components of the
     nonzero pattern, which are exact diagonal blocks of the operator after a
@@ -363,11 +371,12 @@ def hermitian_spectrum(op) -> Spectrum:
     a full solve would.
     """
     mat = op.elements if isinstance(op, DensityMatrix) else np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    defect = _hermiticity_defect(mat)
-    if defect > TOL.hermitian_input:
-        raise ValueError(f"operator is not Hermitian: max |M - M^dag| = {defect:.3e}")
+    if not isinstance(op, DensityMatrix):  # a DensityMatrix is Hermitian by construction
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        defect = _hermiticity_defect(mat)
+        if defect > TOL.hermitian_input:
+            raise ValueError(f"operator is not Hermitian: max |M - M^dag| = {defect:.3e}")
     labels = _block_labels(mat)
     if not labels.any():
         return Spectrum(np.linalg.eigvalsh(mat))
@@ -396,5 +405,5 @@ def permute_qubits(state, permutation: Sequence[int]):
     if isinstance(state, DensityMatrix):
         t = state.elements.reshape((2,) * (2 * n))
         t = t.transpose(perm + [n + q for q in perm])
-        return DensityMatrix(n, t.reshape(state.dim, state.dim))
+        return DensityMatrix(n, t.reshape(state.dim, state.dim), _trusted=True)
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")

@@ -41,7 +41,11 @@ class EntanglementValue:
     @classmethod
     def from_negativity(cls, nu: float) -> "EntanglementValue":
         nu = max(0.0, float(nu))
-        return cls(negativity=nu, log_negativity=math.log2(2.0 * nu + 1.0))
+        return cls(negativity=nu, log_negativity=_ebits(nu))
+
+
+def _ebits(nu: float) -> float:  # log-negativity of a negativity nu
+    return math.log2(2.0 * nu + 1.0)
 
 
 def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
@@ -51,7 +55,8 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """
     if cut.n_qubits != rho.n_qubits:
         raise ValueError(f"cut covers {cut.n_qubits} qubits, state has {rho.n_qubits}")
-    return _pt_negativity(hermitian_spectrum(partial_transpose(rho, cut.side_a)).eigenvalues)
+    pt = DensityMatrix(rho.n_qubits, partial_transpose(rho, cut.side_a), _trusted=True)  # rho, permuted
+    return _pt_negativity(hermitian_spectrum(pt).eigenvalues)
 
 
 def _pt_negativity(eigenvalues) -> float:

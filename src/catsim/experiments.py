@@ -33,6 +33,7 @@ from .cats import (
 )
 from .core import (
     TOL,
+    _hermiticity_defect,
     Bipartition,
     DensityMatrix,
     hermitian_spectrum,
@@ -42,7 +43,7 @@ from .core import (
     tensor,
     to_density,
 )
-from .entanglement import ENGINES, _pt_negativity, engine_curve, negativity
+from .entanglement import ENGINES, _ebits, _pt_negativity, engine_curve, negativity
 from .noise import depolarize_all, depolarize_qubit, lose_particles, noisy_wcat
 
 __all__ = [
@@ -167,10 +168,6 @@ def _flatten_sorted(chunks: Iterable) -> list:
 # ---------------------------------------------------------------------------
 # engine rows
 # ---------------------------------------------------------------------------
-
-def _ebits(nu: float) -> float:
-    return math.log2(2.0 * nu + 1.0)
-
 
 def _sweep(pairs: Sequence, N: int, m: int, grid: Sequence[float], threads: int = 1, **cut) -> list:
     """Per grid point, one record per (kind, engine) pair; each curve is built once."""
@@ -423,6 +420,7 @@ class ValidationReport:
 
 def _check_state_invariants() -> CheckResult:
     worst_min, worst_ptsum, worst_dpt = 0.0, 0.0, 0.0
+    recovery = partial_trace(tensor(to_density(w_state(2)), to_density(w_state(1))), {2})
     states = [
         to_density(w_cat(4)),
         to_density(ghz_cat(4)),
@@ -431,7 +429,11 @@ def _check_state_invariants() -> CheckResult:
         to_density(psi3_concat_ghz(2, 2)),
         noisy_wcat(5, 1, 0.3),
         depolarize_all(to_density(ghz_cat(3)), 0.45),
+        permute_qubits(depolarize_qubit(to_density(psi2(3)), 1, 0.3), [2, 0, 3, 1]),
+        recovery,
     ]
+    worst_herm = max(_hermiticity_defect(rho.elements) for rho in states)  # maps build unchecked
+    worst_tr = max(abs(rho.elements.trace() - 1.0) for rho in states)
     for rho in states:
         worst_min = min(worst_min, rho.min_eigenvalue())
         cut = Bipartition.micro_macro(rho.n_qubits)
@@ -440,10 +442,10 @@ def _check_state_invariants() -> CheckResult:
         worst_ptsum = max(worst_ptsum, abs(spec.sum() - 1.0))
         double = partial_transpose(pt, cut.side_a)
         worst_dpt = max(worst_dpt, float(np.max(np.abs(double - rho.elements))))
-    recovery = partial_trace(tensor(to_density(w_state(2)), to_density(w_state(1))), {2})
     rec_err = float(np.max(np.abs(recovery.elements - to_density(w_state(2)).elements)))
     ok = (
-        worst_min >= TOL.positivity
+        worst_herm <= TOL.hermiticity and worst_tr <= TOL.trace
+        and worst_min >= TOL.positivity
         and worst_ptsum <= TOL.pt_trace
         and worst_dpt <= 1e-14
         and rec_err <= 1e-12
@@ -451,6 +453,7 @@ def _check_state_invariants() -> CheckResult:
     return CheckResult(
         "state invariants",
         ok,
+        f"Hermiticity defect {worst_herm:.2e}, trace defect {worst_tr:.2e}, "
         f"min eig {worst_min:.2e}, PT trace defect {worst_ptsum:.2e}, "
         f"double-PT defect {worst_dpt:.2e}, tensor/trace recovery {rec_err:.2e}",
     )

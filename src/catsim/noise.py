@@ -56,7 +56,7 @@ def depolarize_qubit(rho: DensityMatrix, q: int, p: float) -> DensityMatrix:
         raise ValueError(f"qubit index {q} outside 0..{rho.n_qubits - 1}")
     mat = rho.elements.copy()
     _depolarize_inplace(mat, rho.n_qubits, q, p)
-    return DensityMatrix(rho.n_qubits, mat)
+    return DensityMatrix(rho.n_qubits, mat, _trusted=True)
 
 
 def depolarize_all(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -70,7 +70,7 @@ def depolarize_all(rho: DensityMatrix, p: float) -> DensityMatrix:
     mat = rho.elements.copy()
     for q in range(rho.n_qubits):
         _depolarize_inplace(mat, rho.n_qubits, q, p)
-    return DensityMatrix(rho.n_qubits, mat)
+    return DensityMatrix(rho.n_qubits, mat, _trusted=True)
 
 
 def lose_particles(rho: DensityMatrix, m: int) -> DensityMatrix:

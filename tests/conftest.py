@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from catsim import Bipartition, DensityMatrix, PureState
+from catsim import TOL, Bipartition, DensityMatrix, PureState
+from catsim.core import _hermiticity_defect
 
 
 @pytest.fixture
@@ -54,3 +55,9 @@ def lossy_wcat_matrix(N: int, m: int) -> np.ndarray:
 def as_density(matrix: np.ndarray) -> DensityMatrix:
     n = int(np.log2(matrix.shape[0]))
     return DensityMatrix(n, matrix)
+
+
+def assert_state_invariants(rho: DensityMatrix) -> None:
+    """Hermiticity and unit trace, which the maps keep without re-checking."""
+    assert _hermiticity_defect(rho.elements) <= TOL.hermiticity
+    assert abs(rho.elements.trace() - 1.0) <= TOL.trace

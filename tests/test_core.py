@@ -24,7 +24,7 @@ from catsim import (
     w_cat,
 )
 from catsim.core import _block_labels
-from conftest import as_density, lossy_wcat_matrix, random_pure
+from conftest import as_density, assert_state_invariants, lossy_wcat_matrix, random_pure
 
 
 def ket(bits: str) -> PureState:
@@ -356,11 +356,22 @@ class TestPermuteQubits:
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 4))
 def test_density_invariants_hold_for_random_pure_states(seed, n):
-    psi = random_pure(np.random.default_rng(seed), n)
-    rho = to_density(psi)  # construction enforces hermiticity and trace
+    rng = np.random.default_rng(seed)
+    rho = to_density(random_pure(rng, n))
+    assert_state_invariants(rho)
     assert rho.min_eigenvalue() >= -1e-10
     ev = hermitian_spectrum(partial_transpose(rho, (0,))).eigenvalues
     assert abs(ev.sum() - 1.0) <= 1e-10
+    # the maps build their results unchecked; each must keep the invariants
+    other = to_density(random_pure(rng, 1))
+    for out in (
+        tensor(rho, other),
+        permute_qubits(rho, list(rng.permutation(n))),
+        depolarize_all(rho, float(rng.uniform())),
+        lose_particles(rho, int(rng.integers(0, n))),
+    ):
+        assert_state_invariants(out)
+        assert out.min_eigenvalue() >= -1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -369,6 +380,33 @@ def test_partial_trace_preserves_state_structure(seed, n):
     rng = np.random.default_rng(seed)
     rho = to_density(random_pure(rng, n))
     drop = {int(rng.integers(0, n))}
-    reduced = partial_trace(rho, drop)  # constructor re-checks hermiticity and trace
+    reduced = partial_trace(rho, drop)
     assert reduced.n_qubits == n - 1
+    assert_state_invariants(reduced)
     assert reduced.min_eigenvalue() >= -1e-10
+
+
+class TestValidationAtTheBoundary:
+    """A state is checked where it enters the package, not on every map."""
+
+    # the boundary accepts both inputs, and rounding puts the results' traces
+    # at 1 + 1.8e-12 and 1 + 1e-12, past TOL.trace: a map must not re-check
+    def test_to_density_accepts_what_the_boundary_accepts(self):
+        psi = PureState(1, np.array([1 + 0.9e-12, 0]))  # norm defect 9.0e-13
+        assert_allclose(to_density(psi).elements.trace(), 1.0, atol=2e-12)
+
+    def test_tensor_accepts_what_the_boundary_accepts(self):
+        h = DensityMatrix(1, np.diag([0.5 + 5e-13, 0.5]))
+        assert_allclose(tensor(h, h).elements.trace(), 1.0, atol=2e-12)
+
+    def test_hermiticity_check_runs_once_per_entry(self, monkeypatch):
+        calls = []
+        check = catsim.core._hermiticity_defect
+        monkeypatch.setattr(catsim.core, "_hermiticity_defect", lambda m: calls.append(1) or check(m))
+        curve = catsim.entanglement.engine_curve("oracle", CatStateKind.W_CAT, 6, 1)
+        nu, _, _ = curve(0.3)
+        assert nu > 0 and len(calls) == 0
+        DensityMatrix(1, np.eye(2) / 2)
+        assert len(calls) == 1
+        hermitian_spectrum(np.eye(2))
+        assert len(calls) == 2

@@ -298,6 +298,20 @@ class TestValidate:
         report = validate_report(full=False)
         assert not report.ok
 
+    @pytest.mark.parametrize("entry,measure", [((0, -1), "Hermiticity defect"), ((0, 0), "trace defect")])
+    def test_map_breaking_an_invariant_is_caught(self, entry, measure, monkeypatch):
+        # the maps build their results unchecked, so validate measures them
+        original = catsim.noise._depolarize_inplace
+
+        def skewed(mat, n, q, p):
+            original(mat, n, q, p)
+            mat[entry] += 1e-11  # above TOL.hermiticity, below the spectrum's 1e-10
+
+        monkeypatch.setattr(catsim.noise, "_depolarize_inplace", skewed)
+        check = catsim.experiments._check_state_invariants()
+        assert not check.ok
+        assert float(check.detail.split(f"{measure} ")[1].split(",")[0]) >= 1e-11
+
 
 class TestCli:
     def test_sweep_roundtrip(self, tmp_path):
@@ -414,6 +428,18 @@ class TestCli:
         finally:
             set_dense_cap(12)
         assert code == 3  # 5 qubits exceed a cap of 4
+
+    @pytest.mark.parametrize("cap,exit_code", [("5", 0), ("2", 3)])
+    def test_dense_cap_flag_is_restored(self, cap, exit_code, tmp_path):
+        try:
+            code = main([
+                "sweep", "--state", "wcat", "--n", "2", "--p-step", "0.5", "--dense-cap", cap,
+                "--out", str(tmp_path / "x.csv"),
+            ])
+            assert code == exit_code  # 3 qubits fit a cap of 5, not a cap of 2
+            assert get_dense_cap() == 12
+        finally:
+            set_dense_cap(12)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_grid_exit_code(self, value, tmp_path):

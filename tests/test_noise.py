@@ -24,7 +24,7 @@ from catsim import (
     to_density,
     w_cat,
 )
-from conftest import lossy_wcat_matrix, random_pure
+from conftest import assert_state_invariants, lossy_wcat_matrix, random_pure
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -191,7 +191,8 @@ class TestNoisyWcat:
 )
 def test_channel_preserves_state_invariants(seed, p, q):
     rho = to_density(random_pure(np.random.default_rng(seed), 3))
-    out = depolarize_qubit(rho, q, p)  # constructor re-checks hermiticity and trace
+    out = depolarize_qubit(rho, q, p)
+    assert_state_invariants(out)
     assert out.min_eigenvalue() >= -1e-10
 
 
