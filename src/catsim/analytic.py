@@ -253,11 +253,11 @@ def loss_only_entanglement(N: int, m: int) -> float:
     return math.log2(2.0 - m / N)
 
 
-def large_n_threshold(N: int, m: int, *, resolution: float = 1e-4) -> float:
+def large_n_threshold(N: int, m: int) -> float:
     """Depolarizing strength where the two-eigenvalue negativity dies.
 
-    Bisection to |dp| <= resolution of the largest p with negativity above
+    Bisection to |dp| <= 1e-4 of the largest p with negativity above
     1e-9: ``vanishing_noise_threshold`` on the closed-form engine, so N in
     the thousands is instantaneous.  Needs N - m >= 2.
     """
-    return vanishing_noise_threshold(CatStateKind.W_CAT, N, m, "analytic", resolution=resolution)
+    return vanishing_noise_threshold(CatStateKind.W_CAT, N, m, "analytic")

@@ -5,8 +5,8 @@ data files::
 
     catsim fig1                          loss-only entanglement vs m, per N
     catsim fig2                          W-cat vs GHZ-cat under depolarizing noise
-    catsim fig3                          combined loss + noise surface at N=10
-    catsim fig4                          N=1000 surface with per-m thresholds
+    catsim fig3                          combined loss + noise surface, oracle-checked
+    catsim fig4                          large-N closed-form surface with per-m thresholds
     catsim thresholds                    competitor-cat separability verdicts
     catsim sweep --state wcat --n 6 ...  free-form parameter sweep
     catsim validate                      full invariant battery (exit 0 iff green)
@@ -43,13 +43,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _add_output(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--out", default=default_out, help=f"output path (default {default_out})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="parallel grid evaluation hint")
-    parser.add_argument("--dense-cap", type=_positive_int, default=None,
-                        help="override the dense-engine qubit cap (default 12)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,42 +65,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p1 = sub.add_parser("fig1", help="entanglement after particle loss, closed form + oracle check")
-    p1.add_argument("--n-list", type=int, nargs="+", default=list(experiments.DEFAULT_FIG1_N))
-    _add_common(p1, "fig1.csv")
+    p1.add_argument("--n-list", type=_positive_int, nargs="+",
+                    default=list(experiments.DEFAULT_FIG1_N))
+    _add_output(p1, "fig1.csv")
 
     p2 = sub.add_parser("fig2", help="W-cat vs GHZ-cat under local depolarizing noise")
-    p2.add_argument("--n-list", type=int, nargs="+", default=list(experiments.DEFAULT_FIG2_N))
+    p2.add_argument("--n-list", type=_positive_int, nargs="+",
+                    default=list(experiments.DEFAULT_FIG2_N))
     _add_grid(p2, 0.0, experiments.DEFAULT_P_MAX, experiments.DEFAULT_P_STEP)
-    _add_common(p2, "fig2.csv")
+    _add_output(p2, "fig2.csv")
 
-    p3 = sub.add_parser("fig3", help="loss + noise surface at N=10, oracle cross-checked")
-    p3.add_argument("--n", type=int, default=10, help="macro qubit count (default 10)")
-    p3.add_argument("--m-max", type=int, default=8)
+    p3 = sub.add_parser("fig3", help="loss + noise surface, oracle cross-checked")
+    p3.add_argument("--n", type=_positive_int, default=experiments.DEFAULT_FIG3_N,
+                    help="macro qubit count (default %(default)s)")
+    p3.add_argument("--m-max", type=_non_negative_int, default=experiments.DEFAULT_FIG3_M_MAX)
     _add_grid(p3, 0.0, experiments.DEFAULT_P_MAX, experiments.DEFAULT_P_STEP)
-    _add_common(p3, "fig3.csv")
+    _add_output(p3, "fig3.csv")
 
-    p4 = sub.add_parser("fig4", help="closed-form surface at N=1000 with thresholds per m")
-    p4.add_argument("--n", type=int, default=1000)
-    p4.add_argument("--m-max", type=int, default=100)
+    p4 = sub.add_parser("fig4", help="large-N closed-form surface with thresholds per m")
+    p4.add_argument("--n", type=_positive_int, default=experiments.DEFAULT_FIG4_N)
+    p4.add_argument("--m-max", type=_non_negative_int, default=experiments.DEFAULT_FIG4_M_MAX)
     _add_grid(p4, 0.0, experiments.FIG4_P_MAX, experiments.FIG4_P_STEP)
-    _add_common(p4, "fig4.csv")
+    _add_output(p4, "fig4.csv")
 
     pt = sub.add_parser("thresholds", help="competitor-cat separability under particle loss")
-    _add_common(pt, "thresholds.csv")
+    _add_output(pt, "thresholds.csv")
 
     ps = sub.add_parser("sweep", help="free-form sweep over p for one state family")
     ps.add_argument("--state", choices=sorted(_STATE_NAMES), required=True)
-    ps.add_argument("--n", type=int, required=True, help="macro (logical) qubit count N")
-    ps.add_argument("--m", type=int, default=0, help="macro qubits lost (default 0)")
-    ps.add_argument("--l", type=int, default=2, help="physical qubits per block (psi3 only)")
+    ps.add_argument("--n", type=_positive_int, required=True, help="macro (logical) qubit count N")
+    ps.add_argument("--m", type=_non_negative_int, default=0, help="macro qubits lost (default 0)")
+    ps.add_argument("--l", type=_positive_int, default=2, help="physical qubits per block (psi3 only)")
     ps.add_argument("--engine", choices=(*ENGINES, "both"), default="oracle")
     _add_grid(ps, 0.0, 1.0, 0.01)
-    _add_common(ps, "sweep.csv")
+    _add_output(ps, "sweep.csv")
 
     pv = sub.add_parser("validate", help="run every module invariant; exit 0 iff all pass")
     pv.add_argument("--fast", action="store_true", help="smaller grids (development aid)")
-    pv.add_argument("--dense-cap", type=_positive_int, default=None)
 
+    for cmd in (p2, p3, ps):  # the commands that spread grid points over threads
+        cmd.add_argument("--threads", type=_positive_int, default=1,
+                         help="parallel grid evaluation hint")
+    for cmd in (p1, p2, p3, pt, ps, pv):  # the commands that can build a dense state
+        cmd.add_argument("--dense-cap", type=_positive_int, default=None,
+                         help="override the dense-engine qubit cap (default 12)")
     return parser
 
 
@@ -117,7 +129,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     previous_cap = get_dense_cap()
-    if args.dense_cap is not None:
+    if getattr(args, "dense_cap", None) is not None:  # fig4 builds no dense state and has no cap
         set_dense_cap(args.dense_cap)
     try:
         return _dispatch(args)
@@ -154,13 +166,11 @@ def _dispatch(args) -> int:
               f"(one row per m at its bisected p*)")
     elif args.command == "thresholds":
         records = experiments.loss_threshold_records()
-    elif args.command == "sweep":
+    else:  # sweep; argparse allows no other command
         records = experiments.sweep_records(
             _STATE_NAMES[args.state], args.n, args.m, _grid_from(args),
             engine=args.engine, l=args.l, threads=args.threads,
         )
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {args.command!r}")
 
     experiments.write_records(records, args.out, fmt=args.format)
     print(f"wrote {len(records)} rows to {args.out}")

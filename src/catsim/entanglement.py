@@ -87,22 +87,20 @@ def critical_visibility(N: int) -> float:
     return N / ((math.sqrt(2.0) - 1.0) * 2.0 ** (N - 1) + N)
 
 
-def bisect_threshold(
-    neg_of_p: Callable[[float], float],
-    *,
-    resolution: float = 1e-4,
-    zero_tol: float = TOL.negativity_floor,
-    grid_step: float = 0.1,
-) -> float:
-    """Largest p in [0, 1] with negativity(p) > zero_tol, to |dp| <= resolution.
+_RESOLUTION = 1e-4  # bisect_threshold stops once the bracket is this narrow
+_SCAN_STEP = 0.1  # its coarse grid over [0, 1]
 
-    The function is first sampled on a coarse grid to verify that the
-    negativity is non-increasing in p (the premise that makes bisection
-    meaningful); a violation beyond small numerical slack is an error.
-    Returns 0.0 if already unentangled at p = 0 and 1.0 if still entangled
-    at p = 1.
+
+def bisect_threshold(neg_of_p: Callable[[float], float]) -> float:
+    """Largest p in [0, 1] with negativity(p) > 1e-9, to |dp| <= 1e-4.
+
+    The floor is ``TOL.negativity_floor``.  The function is first sampled
+    on a coarse grid of step 0.1 to verify that the negativity is
+    non-increasing in p (the premise that makes bisection meaningful); a
+    violation beyond small numerical slack is an error.  Returns 0.0 if
+    already unentangled at p = 0 and 1.0 if still entangled at p = 1.
     """
-    grid = [i * grid_step for i in range(int(round(1.0 / grid_step)) + 1)]
+    grid = [i * _SCAN_STEP for i in range(int(round(1.0 / _SCAN_STEP)) + 1)]
     values = [neg_of_p(p) for p in grid]
     slack = 1e-12
     for (p0, v0), (p1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
@@ -111,16 +109,16 @@ def bisect_threshold(
                 f"negativity increases from {v0!r} at p={p0} to {v1!r} at p={p1}; "
                 f"threshold bisection assumes it is non-increasing"
             )
-    if values[0] <= zero_tol:
+    if values[0] <= TOL.negativity_floor:
         return 0.0
-    if values[-1] > zero_tol:
+    if values[-1] > TOL.negativity_floor:
         return 1.0
     # bracket from the coarse grid, then bisect
-    hi_idx = next(i for i, v in enumerate(values) if v <= zero_tol)
+    hi_idx = next(i for i, v in enumerate(values) if v <= TOL.negativity_floor)
     lo, hi = grid[hi_idx - 1], grid[hi_idx]
-    while hi - lo > resolution:
+    while hi - lo > _RESOLUTION:
         mid = 0.5 * (lo + hi)
-        if neg_of_p(mid) > zero_tol:
+        if neg_of_p(mid) > TOL.negativity_floor:
             lo = mid
         else:
             hi = mid
@@ -169,16 +167,17 @@ def vanishing_noise_threshold(
     engine: str = "oracle",
     *,
     l: int = 2,
-    resolution: float = 1e-4,
 ) -> float:
     """Depolarizing strength at which the micro : macro entanglement dies.
 
     Bisects the negativity of ``engine``'s curve: ``"oracle"`` loses m macro
     qubits, depolarizes the survivors and diagonalizes the partial transpose
     exactly; ``"analytic"`` (W-cat only) uses the closed-form dominant
-    eigenvalues and has no qubit-count limit.  The cut is physical qubit 0
-    against the rest for every family; for psi3 that is one qubit of the
-    micro block, not the logical micro qubit that sweep rows cut.
+    eigenvalues and has no qubit-count limit.  The result is the last p
+    with negativity above 1e-9, to within 1e-4 (``bisect_threshold``).
+    The cut is physical qubit 0 against the rest for every family; for
+    psi3 that is one qubit of the micro block, not the logical micro qubit
+    that sweep rows cut.
     """
     curve = engine_curve(engine, kind, N, m, l=l)
-    return bisect_threshold(lambda p: curve(p)[0], resolution=resolution)
+    return bisect_threshold(lambda p: curve(p)[0])

@@ -69,6 +69,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_FIG1_N = (4, 6, 8, 10)
 DEFAULT_FIG2_N = (4, 6, 8, 10)
+DEFAULT_FIG3_N, DEFAULT_FIG3_M_MAX = 10, 8
+DEFAULT_FIG4_N, DEFAULT_FIG4_M_MAX = 1000, 100
 # p-grid steps resolve the two-decimal noise thresholds; the narrow window
 # used at N = 1000 gets a finer step.
 DEFAULT_P_STEP = 0.005
@@ -192,7 +194,7 @@ def _oracle_loss_only(N: int, m: int) -> float:
 # figure data
 # ---------------------------------------------------------------------------
 
-def fig1_records(n_list: Sequence[int] = DEFAULT_FIG1_N) -> list:
+def fig1_records(n_list: Sequence[int]) -> list:
     """Entanglement against particles lost, per initial macro count N.
 
     Closed-form log2(2 - m/N) rows; every row with N <= 10 is cross-checked
@@ -217,17 +219,12 @@ def fig1_records(n_list: Sequence[int] = DEFAULT_FIG1_N) -> list:
     return _flatten_sorted([records])
 
 
-def fig2_records(
-    n_list: Sequence[int] = DEFAULT_FIG2_N,
-    grid: Optional[Sequence[float]] = None,
-    threads: int = 1,
-) -> list:
+def fig2_records(n_list: Sequence[int], grid: Sequence[float], threads: int = 1) -> list:
     """W-cat versus GHZ-cat under uniform local depolarizing noise.
 
     Per grid point the GHZ-cat gets one oracle row and the W-cat two rows
     (oracle and closed form), so the truncation gap can be read off the file.
     """
-    grid = list(grid) if grid is not None else p_grid(0.0, DEFAULT_P_MAX, DEFAULT_P_STEP)
     chunks = []
     for N in n_list:
         pairs = ((CatStateKind.GHZ_CAT, "oracle"), (CatStateKind.W_CAT, "oracle"),
@@ -239,19 +236,13 @@ def fig2_records(
     return _flatten_sorted(chunks)
 
 
-def fig3_records(
-    N: int = 10,
-    m_max: int = 8,
-    grid: Optional[Sequence[float]] = None,
-    threads: int = 1,
-) -> list:
+def fig3_records(N: int, m_max: int, grid: Sequence[float], threads: int = 1) -> list:
     """Loss and decoherence combined: closed-form surface over (m, p).
 
     Each point is also evaluated by the dense oracle; truncation gaps above
     1e-2 ebits are collected and logged (they are a property of the
     two-eigenvalue approximation, not an error).
     """
-    grid = list(grid) if grid is not None else p_grid(0.0, DEFAULT_P_MAX, DEFAULT_P_STEP)
     records, gaps = [], []
     for m in range(0, m_max + 1):
         pairs = ((CatStateKind.W_CAT, "analytic"), (CatStateKind.W_CAT, "oracle"))
@@ -269,23 +260,18 @@ def fig3_records(
     return _flatten_sorted([records])
 
 
-def fig4_records(
-    N: int = 1000,
-    m_max: int = 100,
-    grid: Optional[Sequence[float]] = None,
-) -> tuple:
+def fig4_records(N: int, m_max: int, grid: Sequence[float]) -> tuple:
     """Large-N surface plus the vanishing-noise threshold per loss count.
 
     Returns (records, thresholds).  The records contain the (m, p) grid and,
     per m, one extra row at the bisected threshold p*(m), which is how the
     thresholds are recorded in the data file; ``thresholds`` maps m to p*.
     """
-    grid = list(grid) if grid is not None else p_grid(0.0, FIG4_P_MAX, FIG4_P_STEP)
     chunks, thresholds = [], {}
     for m in range(0, m_max + 1):
         p_star = analytic.large_n_threshold(N, m)
         thresholds[m] = p_star
-        chunks += _sweep([(CatStateKind.W_CAT, "analytic")], N, m, grid + [p_star])
+        chunks += _sweep([(CatStateKind.W_CAT, "analytic")], N, m, [*grid, p_star])
     return _flatten_sorted(chunks), thresholds
 
 
@@ -710,8 +696,7 @@ def validate_report(full: bool = True, progress: Optional[Callable[[str], None]]
     The oracle-equivalence and truncation checks share one sweep over the
     closed-form validity grid (remnant >= 2, at most 9 surviving qubits).
     """
-    n_max_law = 10 if full else 6
-    n_max_grid = 10 if full else 6
+    n_max = 10 if full else 6
     checks = []
 
     def run(fn, *args):
@@ -728,8 +713,8 @@ def validate_report(full: bool = True, progress: Optional[Callable[[str], None]]
     run(_check_state_invariants)
     run(_check_channel_algebra)
     run(_check_permutation_symmetry)
-    run(_check_loss_law, n_max_law)
-    cache = run(_check_oracle_equivalence, n_max_grid)
+    run(_check_loss_law, n_max)
+    cache = run(_check_oracle_equivalence, n_max)
     run(_check_truncation, cache)
     run(_check_reductions)
     run(_check_lambda_monotone)

@@ -84,8 +84,6 @@ def lose_particles(rho: DensityMatrix, m: int) -> DensityMatrix:
     n_macro = rho.n_qubits - 1
     if m < 0 or m > n_macro:
         raise ValueError(f"cannot lose {m} of {n_macro} macro qubits")
-    if m == 0:
-        return rho
     return partial_trace(rho, range(rho.n_qubits - m, rho.n_qubits))
 
 

@@ -1,18 +1,21 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import catsim.analytic
+import catsim.cli
 from catsim import CatStateKind, get_dense_cap, set_dense_cap, vanishing_noise_threshold
-from catsim.cli import main
+from catsim.cli import build_parser, main
 from catsim.experiments import (
     CSV_HEADER,
     LOSS_CSV_HEADER,
     LossRecord,
     SweepRecord,
+    ValidationReport,
     fig1_records,
     fig2_records,
     fig3_records,
@@ -313,6 +316,21 @@ class TestValidate:
         assert float(check.detail.split(f"{measure} ")[1].split(",")[0]) >= 1e-11
 
 
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the attributes read once ``_reads`` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subparsers() -> dict:
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 class TestCli:
     def test_sweep_roundtrip(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -413,6 +431,58 @@ class TestCli:
         assert exc.value.code == 2
         assert get_dense_cap() == 12
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["fig4", "--n", "50", "--m-max", "-5"], "--m-max"),
+        (["fig3", "--m-max", "-1"], "--m-max"),
+        (["fig1", "--n-list", "0", "-2"], "--n-list"),
+        (["fig2", "--n-list", "0"], "--n-list"),
+        (["fig3", "--n", "0"], "--n"),
+        (["fig4", "--n", "-3"], "--n"),
+        (["sweep", "--state", "wcat", "--n", "0"], "--n"),
+        (["sweep", "--state", "wcat", "--n", "3", "--m", "-1"], "--m"),
+        (["sweep", "--state", "psi3", "--n", "2", "--l", "0"], "--l"),
+    ])
+    def test_counts_are_typed_where_they_enter(self, argv, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--threads", "2"],
+        ["fig4", "--threads", "2"],
+        ["thresholds", "--threads", "2"],
+        ["fig4", "--dense-cap", "3"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_subparsers()))
+    def test_every_declared_option_is_read(self, command, monkeypatch):
+        for name in ("fig1_records", "fig2_records", "fig3_records", "loss_threshold_records",
+                     "sweep_records", "write_records"):
+            monkeypatch.setattr(catsim.experiments, name, lambda *args, **kwargs: [])
+        monkeypatch.setattr(catsim.experiments, "fig4_records", lambda *args, **kwargs: ([], {0: 0.5}))
+        monkeypatch.setattr(catsim.experiments, "validate_report", lambda **kwargs: ValidationReport(()))
+        namespace, parser = _ReadRecorder(), build_parser()
+        parse = parser.parse_args
+
+        def parse_then_record(argv=None):
+            args = parse(argv, namespace)
+            args._reads = set()  # reads from here on are the command's
+            return args
+
+        parser.parse_args = parse_then_record
+        monkeypatch.setattr(catsim.cli, "build_parser", lambda: parser)
+        required = {"sweep": ["--state", "wcat", "--n", "3"]}.get(command, [])
+        assert main([command, *required]) == 0
+        declared = {action.dest for action in _subparsers()[command]._actions
+                    if action.option_strings and action.dest != "help"}
+        assert declared - vars(namespace)["_reads"] == set()
+
     def test_validate_dense_cap_below_one_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--fast", "--dense-cap", "0"])
@@ -462,3 +532,57 @@ class TestCli:
         assert main(["validate", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "ALL CHECKS PASSED" in out
+
+
+_GRIDS = st.one_of(  # (p-min, p-max, p-step): at most 5 points, half of them valid
+    st.sampled_from([("0", "0", "1"), ("0", "1", "0.5"), ("0.25", "0.5", "0.25"), ("0.5", "1", "0.5")]),
+    st.sampled_from([("-0.5", "0.5", "0.5"), ("0", "1.5", "0.5"), ("-0.5", "1.5", "0.5"),
+                     ("nan", "1", "0.5"), ("0", "nan", "1"), ("0", "1", "nan"), ("0", "1", "0"),
+                     ("0", "1", "-0.5"), ("1", "0", "0.5")]),
+)
+
+
+def _count(lo: int, hi: int):
+    return st.integers(lo, hi).map(str)
+
+
+@st.composite
+def _cli_argv(draw) -> list:
+    """A command line of small bounded values: no dense state above 6 qubits,
+    at most 5 grid points, and p bounds that may lie outside [0, 1] or be nan."""
+    command = draw(st.sampled_from(["fig1", "fig2", "fig3", "fig4", "thresholds", "sweep"]))
+    argv = [command]
+    if command in ("fig1", "fig2"):
+        argv += ["--n-list", *draw(st.lists(_count(0, 5), min_size=1, max_size=2))]
+    elif command in ("fig3", "fig4"):
+        n = draw(st.integers(0, 5 if command == "fig3" else 60))
+        argv += ["--n", str(n), "--m-max", draw(_count(-1, n))]
+    elif command == "sweep":
+        state = draw(st.sampled_from(["wcat", "ghzcat", "psi1", "psi2", "psi3"]))
+        n = draw(st.integers(0, 2 if state == "psi3" else 5))
+        argv += ["--state", state, "--n", str(n), "--m", draw(_count(-1, n)),
+                 "--engine", draw(st.sampled_from(["oracle", "analytic", "both"]))]
+        if state == "psi3":  # l * (N + 1) qubits
+            argv += ["--l", draw(_count(0, 2))]
+    if command in ("fig2", "fig3", "fig4", "sweep"):
+        p_min, p_max, p_step = draw(_GRIDS)
+        argv += ["--p-min", p_min, "--p-max", p_max, "--p-step", p_step]
+    if command in ("fig2", "fig3", "sweep") and draw(st.booleans()):
+        argv += ["--threads", draw(st.sampled_from(["1", "2"]))]
+    if command == "thresholds":  # its states are fixed at up to 8 qubits; the cap stops it at 6
+        argv += ["--dense-cap", draw(_count(1, 6))]
+    elif command != "fig4" and draw(st.booleans()):
+        argv += ["--dense-cap", draw(_count(0, 6))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+def test_cli_exits_0_2_or_3_and_never_crashes(argv, tmp_path):
+    try:
+        code = main(argv + ["--out", str(tmp_path / "fuzz.out")])
+    except SystemExit as exc:  # argparse rejected the command line
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 2, 3), argv
+    assert get_dense_cap() == 12
