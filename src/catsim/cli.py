@@ -124,10 +124,10 @@ def _grid_from(args) -> list:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")  # no-op once configured
+    root = logging.getLogger()
+    previous_level = root.level
+    root.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     previous_cap = get_dense_cap()
     if getattr(args, "dense_cap", None) is not None:  # fig4 builds no dense state and has no cap
         set_dense_cap(args.dense_cap)
@@ -140,7 +140,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        set_dense_cap(previous_cap)  # the cap is process-wide; a run must not leak it
+        set_dense_cap(previous_cap)  # the cap and the log level are process-wide;
+        root.setLevel(previous_level)  # a run must not leak either
 
 
 def _dispatch(args) -> int:

@@ -236,6 +236,15 @@ def fig2_records(n_list: Sequence[int], grid: Sequence[float], threads: int = 1)
     return _flatten_sorted(chunks)
 
 
+def _check_m_max(N: int, m_max: int) -> None:
+    """The closed form needs two surviving macro qubits at every m up to m_max."""
+    if m_max > N - 2:
+        raise ValueError(
+            f"m_max must be at most N - 2 = {N - 2} (the closed form needs two "
+            f"surviving macro qubits), got {m_max}"
+        )
+
+
 def fig3_records(N: int, m_max: int, grid: Sequence[float], threads: int = 1) -> list:
     """Loss and decoherence combined: closed-form surface over (m, p).
 
@@ -243,6 +252,7 @@ def fig3_records(N: int, m_max: int, grid: Sequence[float], threads: int = 1) ->
     1e-2 ebits are collected and logged (they are a property of the
     two-eigenvalue approximation, not an error).
     """
+    _check_m_max(N, m_max)
     records, gaps = [], []
     for m in range(0, m_max + 1):
         pairs = ((CatStateKind.W_CAT, "analytic"), (CatStateKind.W_CAT, "oracle"))
@@ -267,6 +277,7 @@ def fig4_records(N: int, m_max: int, grid: Sequence[float]) -> tuple:
     per m, one extra row at the bisected threshold p*(m), which is how the
     thresholds are recorded in the data file; ``thresholds`` maps m to p*.
     """
+    _check_m_max(N, m_max)
     chunks, thresholds = [], {}
     for m in range(0, m_max + 1):
         p_star = analytic.large_n_threshold(N, m)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import math
 
 import numpy as np
@@ -306,8 +307,8 @@ class TestValidate:
         # the maps build their results unchecked, so validate measures them
         original = catsim.noise._depolarize_inplace
 
-        def skewed(mat, n, q, p):
-            original(mat, n, q, p)
+        def skewed(mat, n, qubits, p):
+            original(mat, n, qubits, p)
             mat[entry] += 1e-11  # above TOL.hermiticity, below the spectrum's 1e-10
 
         monkeypatch.setattr(catsim.noise, "_depolarize_inplace", skewed)
@@ -447,6 +448,33 @@ class TestCli:
             main(argv + ["--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,limit", [
+        (["fig3", "--m-max", "9"], 8),
+        (["fig4", "--n", "50", "--m-max", "49"], 48),
+    ])
+    def test_m_max_beyond_the_closed_form_fails_before_any_point(
+        self, argv, limit, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(catsim.experiments, "engine_curve",
+                            lambda *args, **kwargs: built.append(args))
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert f"m_max must be at most N - 2 = {limit}" in capsys.readouterr().err
+        assert built == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_each_call_applies_its_log_level(self, tmp_path, caplog):
+        root = logging.getLogger()
+        before = root.level
+        argv = ["fig2", "--n-list", "2", "--p-max", "0.1", "--p-step", "0.1",
+                "--out", str(tmp_path / "x.csv")]
+        for verbose in (False, True, False):
+            caplog.clear()
+            assert main(["-v", *argv] if verbose else argv) == 0
+            debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+            assert bool(debug) == verbose
+            assert root.level == before
 
     @pytest.mark.parametrize("argv", [
         ["fig1", "--threads", "2"],

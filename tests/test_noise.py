@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from catsim import (
     Bipartition,
+    CatStateKind,
     DensityMatrix,
     WCatParams,
     depolarize_all,
@@ -24,6 +25,8 @@ from catsim import (
     to_density,
     w_cat,
 )
+from catsim.cats import build_cat
+from catsim.noise import _depolarize_inplace
 from conftest import assert_state_invariants, lossy_wcat_matrix, random_pure
 
 SIGMA = [
@@ -119,6 +122,106 @@ class TestDepolarizeAll:
         for i in range(N):
             row = 1 << (N - 1 - i)  # |0, e_i>
             assert abs(rho.elements[row, col] - expected) <= 1e-14
+
+
+def strided_depolarize(mat: np.ndarray, n: int, q: int, p: float) -> None:
+    """Reference: the channel on qubit q as one strided pass over the whole matrix."""
+    if p == 0.0:
+        return
+    a, b = 2**q, 2 ** (n - 1 - q)
+    t = mat.reshape(a, 2, b, a, 2, b)
+    marginal = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
+    marginal *= p / 2.0
+    t *= 1.0 - p
+    t[:, 0, :, :, 0, :] += marginal
+    t[:, 1, :, :, 1, :] += marginal
+
+
+def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def _family_inputs():
+    """(kind, N, m) for every family whose state has 7 to 11 qubits after losing m."""
+    for kind in CatStateKind:
+        for n in range(7, 12):
+            for m in (0, 1):
+                if kind is CatStateKind.PSI3_CONCAT:  # l = 2 qubits per block
+                    if (n + m) % 2:
+                        continue
+                    N = (n + m) // 2 - 1
+                else:
+                    N = n + m - 1
+                yield pytest.param(kind, N, m, id=f"{kind.value}-{n}q-m{m}")
+
+
+class TestSliceKernel:
+    """The slice kernel against the strided reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind,N,m", list(_family_inputs()))
+    def test_cat_families_bit_identical(self, kind, N, m):
+        rho = lose_particles(to_density(build_cat(kind, N)), m)
+        before = rho.elements.copy()
+        n = rho.n_qubits
+        expected = np.empty_like(before)
+        for p in (0.0, 0.05, 0.3, 1.0):
+            np.copyto(expected, before)
+            for q in range(n):
+                strided_depolarize(expected, n, q, p)
+            assert_bits_equal(depolarize_all(rho, p).elements, expected)
+        for q in range(n):  # every qubit, each at one of the nonzero strengths
+            p = (0.05, 0.3, 1.0)[q % 3]
+            np.copyto(expected, before)
+            strided_depolarize(expected, n, q, p)
+            assert_bits_equal(depolarize_qubit(rho, q, p).elements, expected)
+        assert_bits_equal(depolarize_qubit(rho, n - 1, 0.0).elements, before)
+        assert_bits_equal(rho.elements, before)  # the input is left unchanged
+
+    def test_dense_state_spans_several_chunks(self, rng):
+        rho = to_density(random_pure(rng, 8))
+        assert np.count_nonzero(rho.elements) == rho.dim**2  # all 256 slices occupied
+        before = rho.elements.copy()
+        for p in (0.05, 0.3, 1.0):
+            expected = rho.elements.copy()
+            for q in range(8):
+                strided_depolarize(expected, 8, q, p)
+            assert_bits_equal(depolarize_all(rho, p).elements, expected)
+            for q in (0, 3, 7):
+                expected = rho.elements.copy()
+                strided_depolarize(expected, 8, q, p)
+                assert_bits_equal(depolarize_qubit(rho, q, p).elements, expected)
+        assert_bits_equal(rho.elements, before)
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 1.0])
+    def test_one_qubit(self, p):
+        rho = DensityMatrix(1, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+        expected = rho.elements.copy()
+        strided_depolarize(expected, 1, 0, p)
+        assert_bits_equal(depolarize_all(rho, p).elements, expected)
+        assert_bits_equal(depolarize_qubit(rho, 0, p).elements, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 6),
+    fill=st.floats(0.0, 0.3),
+    p=st.sampled_from([0.05, 0.3, 0.77, 1.0]),
+    data=st.data(),
+)
+def test_slice_kernel_matches_strided_on_sparse_hermitian(seed, n, fill, p, data):
+    gen = np.random.default_rng(seed)
+    dim = 2**n
+    values = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    mat = np.where(gen.random((dim, dim)) < fill, values, 0)
+    upper = np.triu(mat, 1)
+    mat = upper + upper.conj().T + np.diag(mat.diagonal().real)  # Hermitian, any sparsity
+    qubits = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    expected = mat.copy()
+    for q in qubits:
+        strided_depolarize(expected, n, q, p)
+    _depolarize_inplace(mat, n, qubits, p)
+    assert_bits_equal(mat, expected)
 
 
 class TestLoseParticles:
