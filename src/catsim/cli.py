@@ -5,7 +5,7 @@ data files::
 
     catsim fig1                          loss-only entanglement vs m, per N
     catsim fig2                          W-cat vs GHZ-cat under depolarizing noise
-    catsim fig3                          combined loss + noise surface, oracle-checked
+    catsim fig3                          combined loss + noise closed-form surface
     catsim fig4                          large-N closed-form surface with per-m thresholds
     catsim thresholds                    competitor-cat separability verdicts
     catsim sweep --state wcat --n 6 ...  free-form parameter sweep
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log per-point details")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("fig1", help="entanglement after particle loss, closed form + oracle check")
+    p1 = sub.add_parser("fig1", help="entanglement after particle loss, closed form")
     p1.add_argument("--n-list", type=_positive_int, nargs="+",
                     default=list(experiments.DEFAULT_FIG1_N))
     _add_output(p1, "fig1.csv")
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p2, 0.0, experiments.DEFAULT_P_MAX, experiments.DEFAULT_P_STEP)
     _add_output(p2, "fig2.csv")
 
-    p3 = sub.add_parser("fig3", help="loss + noise surface, oracle cross-checked")
+    p3 = sub.add_parser("fig3", help="loss + noise surface, closed form")
     p3.add_argument("--n", type=_positive_int, default=experiments.DEFAULT_FIG3_N,
                     help="macro qubit count (default %(default)s)")
     p3.add_argument("--m-max", type=_non_negative_int, default=experiments.DEFAULT_FIG3_M_MAX)
@@ -103,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="run every module invariant; exit 0 iff all pass")
     pv.add_argument("--fast", action="store_true", help="smaller grids (development aid)")
 
-    for cmd in (p2, p3, ps):  # the commands that spread grid points over threads
+    for cmd in (p2, ps):  # the commands that spread dense grid points over threads
         cmd.add_argument("--threads", type=_positive_int, default=1,
                          help="parallel grid evaluation hint")
-    for cmd in (p1, p2, p3, pt, ps, pv):  # the commands that can build a dense state
+    for cmd in (p2, pt, ps, pv):  # the commands that can build a dense state
         cmd.add_argument("--dense-cap", type=_positive_int, default=None,
                          help="override the dense-engine qubit cap (default 12)")
     return parser
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     previous_level = root.level
     root.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     previous_cap = get_dense_cap()
-    if getattr(args, "dense_cap", None) is not None:  # fig4 builds no dense state and has no cap
+    if getattr(args, "dense_cap", None) is not None:  # fig1, fig3, fig4 build no dense state
         set_dense_cap(args.dense_cap)
     try:
         return _dispatch(args)
@@ -155,9 +155,7 @@ def _dispatch(args) -> int:
     elif args.command == "fig2":
         records = experiments.fig2_records(args.n_list, _grid_from(args), threads=args.threads)
     elif args.command == "fig3":
-        records = experiments.fig3_records(
-            N=args.n, m_max=args.m_max, grid=_grid_from(args), threads=args.threads
-        )
+        records = experiments.fig3_records(N=args.n, m_max=args.m_max, grid=_grid_from(args))
     elif args.command == "fig4":
         records, thresholds = experiments.fig4_records(
             N=args.n, m_max=args.m_max, grid=_grid_from(args)

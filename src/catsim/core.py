@@ -127,7 +127,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected {2**self.n_qubits}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOL.unit_norm:
+        if not abs(norm - 1.0) <= TOL.unit_norm:  # written so that NaN fails
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {TOL.unit_norm}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
@@ -165,10 +165,10 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(dim, dim)}")
         herm_defect = _hermiticity_defect(mat)
-        if herm_defect > TOL.hermiticity:
+        if not herm_defect <= TOL.hermiticity:  # NaN fails: any non-finite entry makes one
             raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
         tr = mat.trace()
-        if abs(tr - 1.0) > TOL.trace:
+        if not abs(tr - 1.0) <= TOL.trace:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TOL.trace}")
         object.__setattr__(self, "elements", _readonly(mat))
 
@@ -299,9 +299,10 @@ def partial_transpose(rho, side: Sequence[int]) -> np.ndarray:
         mat = np.asarray(rho, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        n = int(round(np.log2(mat.shape[0])))
-        if 2**n != mat.shape[0]:
-            raise ValueError(f"matrix side {mat.shape[0]} is not a power of 2")
+        d = mat.shape[0]
+        if d < 1 or d & (d - 1):
+            raise ValueError(f"matrix side {d} is not a power of 2")
+        n = d.bit_length() - 1
     side_set = set(int(q) for q in side)
     if not side_set <= set(range(n)):
         raise ValueError(f"side indices {sorted(side_set)} outside 0..{n - 1}")
@@ -316,17 +317,20 @@ _STRIP = 32  # rows per pass of the Hermiticity check
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
-    """max |M - M^dag| over the entries.
+    """max |M - M^dag| over the entries; NaN if an entry is NaN or infinite.
 
     Works through strips of rows, so the one temporary holds a strip, not a
-    second d x d matrix, and the transposed read stays cache friendly.
+    second d x d matrix, and the transposed read stays cache friendly.  A
+    non-finite entry gives a NaN or infinite difference (inf - inf is NaN),
+    and ``np.maximum`` carries NaN through the fold.
     """
     defect = 0.0
-    for i in range(0, mat.shape[0], _STRIP):
-        diff = np.conj(mat[:, i:i + _STRIP].T)
-        diff -= mat[i:i + _STRIP]
-        defect = max(defect, np.max(np.abs(diff)))
-    return defect
+    with np.errstate(invalid="ignore"):  # the caller reports the NaN
+        for i in range(0, mat.shape[0], _STRIP):
+            diff = np.conj(mat[:, i:i + _STRIP].T)
+            diff -= mat[i:i + _STRIP]
+            defect = np.maximum(defect, np.max(np.abs(diff)))
+    return float(defect)
 
 
 def _block_labels(mat: np.ndarray) -> np.ndarray:
@@ -375,7 +379,7 @@ def hermitian_spectrum(op) -> Spectrum:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         defect = _hermiticity_defect(mat)
-        if defect > TOL.hermitian_input:
+        if not defect <= TOL.hermitian_input:
             raise ValueError(f"operator is not Hermitian: max |M - M^dag| = {defect:.3e}")
     labels = _block_labels(mat)
     if not labels.any():

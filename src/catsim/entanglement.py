@@ -81,10 +81,13 @@ def critical_visibility(N: int) -> float:
     violates local realism: N / ((sqrt(2) - 1) 2^(N-1) + N).
 
     Tends to zero as N grows; N = 1 and N = 2 both evaluate to 1/sqrt(2).
+    Numerator and denominator are scaled by 2^(1-N), so 2^(N-1) is never
+    formed and the value stays finite (reaching 0.0) at any N.
     """
     if N < 1:
         raise ValueError(f"critical_visibility needs N >= 1, got {N}")
-    return N / ((math.sqrt(2.0) - 1.0) * 2.0 ** (N - 1) + N)
+    s = N * 2.0 ** (1 - N)
+    return s / (math.sqrt(2.0) - 1.0 + s)
 
 
 _RESOLUTION = 1e-4  # bisect_threshold stops once the bracket is this narrow

@@ -410,3 +410,36 @@ class TestValidationAtTheBoundary:
         assert len(calls) == 1
         hermitian_spectrum(np.eye(2))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("amplitudes", [
+        [np.nan, 1], [np.nan, np.nan], [np.inf, 0], [1, complex(0, np.nan)],
+    ])
+    def test_pure_state_rejects_non_finite(self, amplitudes):
+        with pytest.raises(ValueError, match="norm"):
+            PureState(1, np.array(amplitudes, dtype=complex))
+
+    @pytest.mark.parametrize("elements", [
+        [[0.5, np.nan], [np.nan, 0.5]],
+        [[np.nan, np.nan], [np.nan, np.nan]],
+        [[np.nan, 0], [0, 1]],
+        [[0.5, np.inf], [np.inf, 0.5]],
+        [[np.inf, 0], [0, 1]],
+        [[0.5, complex(0, np.inf)], [complex(0, -np.inf), 0.5]],
+    ])
+    def test_non_finite_entries_are_rejected(self, elements):
+        mat = np.array(elements, dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(1, mat)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_spectrum(mat)
+
+    def test_non_finite_entry_in_a_later_strip_is_rejected(self):
+        mat = np.eye(64, dtype=complex) / 64
+        mat[40, 50] = mat[50, 40] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(6, mat)
+
+    @pytest.mark.parametrize("side", [0, 3, 6])
+    def test_partial_transpose_rejects_sides_that_are_not_powers_of_two(self, side):
+        with pytest.raises(ValueError, match="power of 2"):
+            partial_transpose(np.zeros((side, side)), [])

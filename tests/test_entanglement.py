@@ -114,6 +114,17 @@ class TestCriticalVisibility:
         for N in range(1, 31):
             assert 0.0 < critical_visibility(N) <= 1.0
 
+    def test_matches_the_unscaled_formula_while_it_is_finite(self):
+        # 2.0 ** (N - 1) overflows from N = 1025 on
+        for N in range(1, 1025):
+            assert critical_visibility(N) == N / ((math.sqrt(2.0) - 1.0) * 2.0 ** (N - 1) + N), N
+
+    def test_finite_and_non_increasing_at_macroscopic_n(self):
+        values = [critical_visibility(N) for N in range(1, 10**5 + 1)]
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] == 0.0
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             critical_visibility(0)

@@ -249,6 +249,19 @@ class TestFigureData:
         assert e_at[(1, 0.0)] < e_at[(0, 0.0)]
         assert e_at[(0, 0.1)] < e_at[(0, 0.0)]
 
+    def test_fig1_and_fig3_build_only_closed_form_curves(self, monkeypatch):
+        built, real = [], catsim.experiments.engine_curve
+
+        def spy(name, *args, **kwargs):
+            built.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(catsim.experiments, "engine_curve", spy)
+        fig1_records([1, 2, 10])
+        assert built == []
+        fig3_records(N=10, m_max=8, grid=[0.0, 0.2])
+        assert built == ["analytic"] * 9
+
     def test_fig4_records_thresholds_per_m(self):
         grid = [0.0, 0.01]
         recs, thresholds = fig4_records(N=100, m_max=2, grid=grid)
@@ -481,6 +494,9 @@ class TestCli:
         ["fig4", "--threads", "2"],
         ["thresholds", "--threads", "2"],
         ["fig4", "--dense-cap", "3"],
+        ["fig1", "--dense-cap", "3"],
+        ["fig3", "--threads", "2"],
+        ["fig3", "--dense-cap", "3"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -574,11 +590,17 @@ def _count(lo: int, hi: int):
     return st.integers(lo, hi).map(str)
 
 
+_DECLARED = {command: {opt for action in sub._actions for opt in action.option_strings}
+             for command, sub in _subparsers().items()}
+
+
 @st.composite
 def _cli_argv(draw) -> list:
     """A command line of small bounded values: no dense state above 6 qubits,
-    at most 5 grid points, and p bounds that may lie outside [0, 1] or be nan."""
+    at most 5 grid points, and p bounds that may lie outside [0, 1] or be nan.
+    Each command draws only the flags its subparser declares."""
     command = draw(st.sampled_from(["fig1", "fig2", "fig3", "fig4", "thresholds", "sweep"]))
+    declared = _DECLARED[command]
     argv = [command]
     if command in ("fig1", "fig2"):
         argv += ["--n-list", *draw(st.lists(_count(0, 5), min_size=1, max_size=2))]
@@ -592,14 +614,14 @@ def _cli_argv(draw) -> list:
                  "--engine", draw(st.sampled_from(["oracle", "analytic", "both"]))]
         if state == "psi3":  # l * (N + 1) qubits
             argv += ["--l", draw(_count(0, 2))]
-    if command in ("fig2", "fig3", "fig4", "sweep"):
+    if "--p-step" in declared:
         p_min, p_max, p_step = draw(_GRIDS)
         argv += ["--p-min", p_min, "--p-max", p_max, "--p-step", p_step]
-    if command in ("fig2", "fig3", "sweep") and draw(st.booleans()):
+    if "--threads" in declared and draw(st.booleans()):
         argv += ["--threads", draw(st.sampled_from(["1", "2"]))]
     if command == "thresholds":  # its states are fixed at up to 8 qubits; the cap stops it at 6
         argv += ["--dense-cap", draw(_count(1, 6))]
-    elif command != "fig4" and draw(st.booleans()):
+    elif "--dense-cap" in declared and draw(st.booleans()):
         argv += ["--dense-cap", draw(_count(0, 6))]
     return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
 
