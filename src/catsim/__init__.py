@@ -36,11 +36,9 @@ from .cats import (
 )
 from .noise import depolarize_all, depolarize_qubit, lose_particles, noisy_wcat
 from .entanglement import (
-    EntanglementValue,
     bisect_threshold,
     critical_visibility,
     log_negativity,
-    measure,
     negativity,
     vanishing_noise_threshold,
 )
@@ -87,10 +85,8 @@ __all__ = [
     "depolarize_all",
     "lose_particles",
     "noisy_wcat",
-    "EntanglementValue",
     "negativity",
     "log_negativity",
-    "measure",
     "critical_visibility",
     "bisect_threshold",
     "vanishing_noise_threshold",

@@ -89,12 +89,12 @@ class WCatParams:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The thirteen scalars entering the two dominant eigenvalues.
+    """The twelve scalars entering the two dominant eigenvalues.
 
     ``a``..``d`` build the symmetric-sector block, ``a1``..``g`` the
-    mixed-symmetry block; ``alpha1``, ``alpha2``, ``gamma1``, ``gamma2``
-    are the helpers appearing inside them, kept visible for tests.  All are
-    in [0, 1] for valid parameters.
+    mixed-symmetry block; ``alpha1``, ``alpha2`` and ``gamma1`` are the
+    helpers appearing inside them, kept visible for tests.  All are in
+    [0, 1] for valid parameters.
     """
 
     a: float
@@ -109,7 +109,6 @@ class CoefficientSet:
     alpha1: float
     alpha2: float
     gamma1: float
-    gamma2: float
 
 
 @dataclass(frozen=True)
@@ -150,36 +149,41 @@ def _pow(base: float, k: int, log_domain: bool) -> float:
     return out
 
 
-def coefficients(params: WCatParams) -> CoefficientSet:
-    """Evaluate the thirteen coefficients at the given parameters.
-
-    Requires N - m >= 2: below that the expressions involve powers the
-    construction never produces, and the dense oracle engine is the right
-    tool for such tiny remnants anyway.
-    """
-    R = params.remnant
+def _check_remnant(R: int) -> None:
+    """The closed form needs R = N - m >= 2: below that its expressions
+    involve powers the construction never produces, and the dense oracle
+    engine is the right tool for such tiny remnants anyway."""
     if R < 2:
         raise ValueError(
             f"closed-form coefficients need N - m >= 2, got N - m = {R}; "
             f"use the dense oracle engine for smaller remnants"
         )
+
+
+def coefficients(params: WCatParams) -> CoefficientSet:
+    """Evaluate the twelve coefficients at the given parameters.
+
+    Requires N - m >= 2.  p_tilde is raised to each of the five exponents
+    R - 3 .. R + 1 once.
+    """
+    R = params.remnant
+    _check_remnant(R)
     N, m, p = params.N, params.m, params.p
     pt = params.p_tilde
     log_dom = N > _LOG_DOMAIN_N
-    ptk = lambda k: _pow(pt, k, log_dom)
+    ptk = {k: _pow(pt, k, log_dom) for k in range(R - 3, R + 2)}.__getitem__
     h = p / 2.0  # white-noise weight per qubit
     q2 = (1.0 - p) ** 2
 
     alpha1 = (ptk(R) + (R - 1) * h * h * ptk(R - 2)) / N
     alpha2 = (2.0 * ptk(R - 1) * h + (R - 2) * h**3 * ptk(R - 3)) / N
     gamma1 = (R / N) * h * ptk(R - 1)
-    gamma2 = (ptk(R) + (R - 1) * h * h * ptk(R - 2)) / N
 
     a = gamma1 * pt + (m / N) * ptk(R + 1) + h * ptk(R)
     b = q2 * ptk(R - 1) / math.sqrt(N)
     c = alpha1 * h + (m / N) * h * h * ptk(R - 1) + h * ptk(R)
     d = h * q2 * ptk(R - 2) / N
-    a1 = h * h * ptk(R - 1) + (m / N) * h * ptk(R) + gamma2 * pt
+    a1 = h * h * ptk(R - 1) + (m / N) * h * ptk(R) + alpha1 * pt
     b1 = q2 * ptk(R - 1) / N
     e = q2 * h * ptk(R - 2) / math.sqrt(N)
     f = h * h * ptk(R - 1) + (m / N) * h**3 * ptk(R - 2) + alpha2 * h
@@ -187,7 +191,7 @@ def coefficients(params: WCatParams) -> CoefficientSet:
 
     return CoefficientSet(
         a=a, b=b, c=c, d=d, a1=a1, b1=b1, e=e, f=f, g=g,
-        alpha1=alpha1, alpha2=alpha2, gamma1=gamma1, gamma2=gamma2,
+        alpha1=alpha1, alpha2=alpha2, gamma1=gamma1,
     )
 
 

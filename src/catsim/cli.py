@@ -103,10 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="run every module invariant; exit 0 iff all pass")
     pv.add_argument("--fast", action="store_true", help="smaller grids (development aid)")
 
-    for cmd in (p2, ps):  # the commands that spread dense grid points over threads
+    for cmd in (p2, ps):  # the commands that run the dense oracle at a user-chosen N
         cmd.add_argument("--threads", type=_positive_int, default=1,
                          help="parallel grid evaluation hint")
-    for cmd in (p2, pt, ps, pv):  # the commands that can build a dense state
         cmd.add_argument("--dense-cap", type=_positive_int, default=None,
                          help="override the dense-engine qubit cap (default 12)")
     return parser
@@ -119,6 +118,9 @@ def _add_grid(parser: argparse.ArgumentParser, p_min: float, p_max: float, p_ste
 
 
 def _grid_from(args) -> list:
+    """The --p-* grid, checked to lie in [0, 1] before any point is evaluated."""
+    if not 0.0 <= args.p_min or not args.p_max <= 1.0:
+        raise ValueError(f"--p-min and --p-max must lie in [0, 1], got {args.p_min} and {args.p_max}")
     return experiments.p_grid(args.p_min, args.p_max, args.p_step)
 
 
@@ -129,7 +131,7 @@ def main(argv=None) -> int:
     previous_level = root.level
     root.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     previous_cap = get_dense_cap()
-    if getattr(args, "dense_cap", None) is not None:  # fig1, fig3, fig4 build no dense state
+    if getattr(args, "dense_cap", None) is not None:  # only fig2 and sweep take the cap
         set_dense_cap(args.dense_cap)
     try:
         return _dispatch(args)

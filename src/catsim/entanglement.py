@@ -11,7 +11,6 @@ proxy used here for separability verdicts: necessary, and for the 2 x 2 and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import TOL, Bipartition, DensityMatrix, hermitian_spectrum, partial_transpose, to_density
@@ -19,29 +18,14 @@ from .cats import CatStateKind, build_cat
 from .noise import depolarize_all, lose_particles
 
 __all__ = [
-    "EntanglementValue",
     "negativity",
     "log_negativity",
-    "measure",
     "critical_visibility",
     "bisect_threshold",
     "ENGINES",
     "engine_curve",
     "vanishing_noise_threshold",
 ]
-
-
-@dataclass(frozen=True)
-class EntanglementValue:
-    """Negativity and logarithmic negativity (ebits) of one state and cut."""
-
-    negativity: float
-    log_negativity: float
-
-    @classmethod
-    def from_negativity(cls, nu: float) -> "EntanglementValue":
-        nu = max(0.0, float(nu))
-        return cls(negativity=nu, log_negativity=_ebits(nu))
 
 
 def _ebits(nu: float) -> float:  # log-negativity of a negativity nu
@@ -68,12 +52,7 @@ def _pt_negativity(eigenvalues) -> float:
 
 def log_negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """log2(2 N(rho) + 1) in ebits; zero iff the negativity is zero."""
-    return EntanglementValue.from_negativity(negativity(rho, cut)).log_negativity
-
-
-def measure(rho: DensityMatrix, cut: Bipartition) -> EntanglementValue:
-    """Both quantities at once."""
-    return EntanglementValue.from_negativity(negativity(rho, cut))
+    return _ebits(negativity(rho, cut))
 
 
 def critical_visibility(N: int) -> float:
@@ -137,7 +116,9 @@ def _oracle_curve(kind: CatStateKind, N: int, m: int, l: int, micro: Iterable[in
 def _closed_form_curve(kind: CatStateKind, N: int, m: int, l: int, micro: Iterable[int]) -> Callable:
     if kind is not CatStateKind.W_CAT:
         raise ValueError(f"the analytic engine only covers {CatStateKind.W_CAT.value}, got {kind.value}")
-    from .analytic import WCatParams, dominant_eigenvalues
+    from .analytic import WCatParams, _check_remnant, dominant_eigenvalues
+
+    _check_remnant(N - m)
 
     def point(p: float) -> tuple:
         pair = dominant_eigenvalues(WCatParams(N=N, m=m, p=p))

@@ -208,7 +208,11 @@ def fig2_records(n_list: Sequence[int], grid: Sequence[float], threads: int = 1)
 
     Per grid point the GHZ-cat gets one oracle row and the W-cat two rows
     (oracle and closed form), so the truncation gap can be read off the file.
+    Every N must be at least 2, the closed form's smallest W-cat.
     """
+    for N in n_list:
+        if N < 2:
+            raise ValueError(f"fig2 needs every N >= 2 (the closed-form W-cat rows), got N = {N}")
     chunks = []
     for N in n_list:
         pairs = ((CatStateKind.GHZ_CAT, "oracle"), (CatStateKind.W_CAT, "oracle"),

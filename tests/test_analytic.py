@@ -1,10 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import catsim.analytic
 from catsim import (
     Bipartition,
+    CoefficientSet,
     WCatParams,
     approx_log_negativity,
     approx_negativity,
@@ -19,7 +22,7 @@ from catsim import (
 )
 from catsim.analytic import _pow
 
-# Thirteen coefficients at (N=8, m=1, p=0.1), evaluated once in 50-digit
+# Twelve coefficients at (N=8, m=1, p=0.1), evaluated once in 50-digit
 # arithmetic from the displayed expressions (p = 1/10 makes all but the
 # 1/sqrt(8)-weighted entries exact decimals).
 GOLDEN_8_1_01 = {
@@ -35,7 +38,6 @@ GOLDEN_8_1_01 = {
     "alpha1": 0.08874300126953125,
     "alpha2": 0.00925228193359375,
     "gamma1": 0.03216027021484375,
-    "gamma2": 0.08874300126953125,
 }
 
 
@@ -61,6 +63,20 @@ class TestCoefficients:
         for name, expected in GOLDEN_8_1_01.items():
             got = getattr(co, name)
             assert abs(got - expected) <= 1e-13 * abs(expected), name
+
+    def test_golden_values_cover_every_field(self):
+        assert list(GOLDEN_8_1_01) == [f.name for f in fields(CoefficientSet)]
+
+    def test_each_power_of_p_tilde_is_evaluated_once(self, monkeypatch):
+        exponents, real_pow = [], catsim.analytic._pow
+
+        def counting_pow(base, k, log_domain):
+            exponents.append(k)
+            return real_pow(base, k, log_domain)
+
+        monkeypatch.setattr(catsim.analytic, "_pow", counting_pow)
+        coefficients(WCatParams(N=8, m=1, p=0.1))
+        assert sorted(exponents) == [4, 5, 6, 7, 8]  # R - 3 .. R + 1 at R = 7
 
     def test_noiseless_limits(self):
         co = coefficients(WCatParams(N=10, m=0, p=0.0))

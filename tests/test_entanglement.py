@@ -7,20 +7,19 @@ from catsim import (
     Bipartition,
     CatStateKind,
     DensityMatrix,
-    EntanglementValue,
     PureState,
     bisect_threshold,
     critical_visibility,
     ghz_cat,
     log_negativity,
     lose_particles,
-    measure,
     negativity,
     tensor,
     to_density,
     vanishing_noise_threshold,
     w_cat,
 )
+from catsim.entanglement import engine_curve
 from conftest import as_density, lossy_wcat_matrix, random_pure
 
 
@@ -76,16 +75,6 @@ class TestLogNegativity:
             assert abs(E - math.log2(2 - m / N)) <= 1e-10
             values.append(E)
         assert all(b < a for a, b in zip(values, values[1:]))
-
-
-class TestEntanglementValue:
-    def test_consistency(self):
-        val = measure(bell_density(), Bipartition.micro_macro(2))
-        assert isinstance(val, EntanglementValue)
-        assert abs(val.log_negativity - math.log2(2 * val.negativity + 1)) <= 1e-12
-
-    def test_clamps_negative_input(self):
-        assert EntanglementValue.from_negativity(-1e-12).negativity == 0.0
 
 
 class TestCriticalVisibility:
@@ -160,6 +149,12 @@ class TestVanishingNoiseThreshold:
     def test_always_below_one(self):
         # total white noise at p=1 carries no entanglement
         assert vanishing_noise_threshold(CatStateKind.GHZ_CAT, 3, 0) < 1.0
+
+    @pytest.mark.parametrize("N,m", [(4, 3), (4, 4), (1, 0)])
+    def test_analytic_engine_refuses_small_remnants_when_built(self, N, m):
+        # the curve is refused before any point, as the other families are
+        with pytest.raises(ValueError, match="oracle"):
+            engine_curve("analytic", CatStateKind.W_CAT, N, m)
 
     def test_analytic_engine_is_wcat_only(self):
         with pytest.raises(ValueError, match="analytic"):

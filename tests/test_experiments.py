@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import catsim.analytic
 import catsim.cli
+import catsim.entanglement
 from catsim import CatStateKind, get_dense_cap, set_dense_cap, vanishing_noise_threshold
 from catsim.cli import build_parser, main
 from catsim.experiments import (
@@ -477,6 +478,43 @@ class TestCli:
         assert built == []
         assert not (tmp_path / "x.csv").exists()
 
+    def test_fig2_n_below_two_fails_before_any_point(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(catsim.experiments, "engine_curve",
+                            lambda *args, **kwargs: built.append(args))
+        assert main(["fig2", "--n-list", "3", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "fig2 needs every N >= 2 (the closed-form W-cat rows), got N = 1" in capsys.readouterr().err
+        assert built == []
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--n-list", "9", "--p-max", "1.1", "--p-step", "0.1"],
+        ["fig3", "--p-max", "1.1"],
+        ["fig4", "--p-min", "-0.01"],
+        ["sweep", "--state", "wcat", "--n", "4", "--p-min", "-0.5"],
+        ["sweep", "--state", "wcat", "--n", "4", "--p-max", "1.5", "--p-step", "0.5"],
+    ])
+    def test_p_bounds_outside_the_unit_interval_fail_before_any_point(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(catsim.experiments, "engine_curve",
+                            lambda *args, **kwargs: built.append(args))
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "--p-min and --p-max must lie in [0, 1]" in capsys.readouterr().err
+        assert built == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_small_remnant_fails_before_the_oracle_builds(self, tmp_path, capsys, monkeypatch):
+        # 12 qubits for the oracle; the closed form's N - m >= 2 refusal comes first
+        built = []
+        monkeypatch.setitem(catsim.entanglement.ENGINES, "oracle", lambda *args: built.append(args))
+        code = main(["sweep", "--state", "wcat", "--n", "11", "--m", "10", "--engine", "both",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "need N - m >= 2, got N - m = 1" in capsys.readouterr().err
+        assert built == []
+
     def test_each_call_applies_its_log_level(self, tmp_path, caplog):
         root = logging.getLogger()
         before = root.level
@@ -497,12 +535,15 @@ class TestCli:
         ["fig1", "--dense-cap", "3"],
         ["fig3", "--threads", "2"],
         ["fig3", "--dense-cap", "3"],
+        ["thresholds", "--dense-cap", "3"],
+        ["validate", "--dense-cap", "3"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        _, unrecognized = capsys.readouterr().err.split("unrecognized arguments:")
+        assert argv[1] in unrecognized.split()  # validate has no --out either
 
     @pytest.mark.parametrize("command", sorted(_subparsers()))
     def test_every_declared_option_is_read(self, command, monkeypatch):
@@ -527,10 +568,11 @@ class TestCli:
                     if action.option_strings and action.dest != "help"}
         assert declared - vars(namespace)["_reads"] == set()
 
-    def test_validate_dense_cap_below_one_exit_code(self):
+    def test_fig2_dense_cap_below_one_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["validate", "--fast", "--dense-cap", "0"])
+            main(["fig2", "--dense-cap", "0"])
         assert exc.value.code == 2
+        assert "argument --dense-cap: must be >= 1" in capsys.readouterr().err
 
     def test_dense_cap_flag_applies(self, tmp_path):
         try:
@@ -596,9 +638,10 @@ _DECLARED = {command: {opt for action in sub._actions for opt in action.option_s
 
 @st.composite
 def _cli_argv(draw) -> list:
-    """A command line of small bounded values: no dense state above 6 qubits,
-    at most 5 grid points, and p bounds that may lie outside [0, 1] or be nan.
-    Each command draws only the flags its subparser declares."""
+    """A command line of small bounded values: no dense state above 6 qubits
+    but thresholds' fixed ones (up to 8), at most 5 grid points, and p bounds
+    that may lie outside [0, 1] or be nan.  Each command draws only the flags
+    its subparser declares."""
     command = draw(st.sampled_from(["fig1", "fig2", "fig3", "fig4", "thresholds", "sweep"]))
     declared = _DECLARED[command]
     argv = [command]
@@ -619,9 +662,7 @@ def _cli_argv(draw) -> list:
         argv += ["--p-min", p_min, "--p-max", p_max, "--p-step", p_step]
     if "--threads" in declared and draw(st.booleans()):
         argv += ["--threads", draw(st.sampled_from(["1", "2"]))]
-    if command == "thresholds":  # its states are fixed at up to 8 qubits; the cap stops it at 6
-        argv += ["--dense-cap", draw(_count(1, 6))]
-    elif "--dense-cap" in declared and draw(st.booleans()):
+    if "--dense-cap" in declared and draw(st.booleans()):
         argv += ["--dense-cap", draw(_count(0, 6))]
     return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
 

@@ -1,6 +1,8 @@
-"""Every name a catsim module imports is used in that module."""
+"""Every name a catsim module imports is used in that module, and every
+name it exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,9 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import math\nfrom os import path, sep\nfrom x import y as z\nprint(math.pi, sep)\n"
     assert _unused_imports(source) == [(2, "path"), (3, "z")]
+
+
+@pytest.mark.parametrize("name", ["catsim", *(f"catsim.{p.stem}" for p in SOURCES)])
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
