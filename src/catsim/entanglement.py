@@ -39,8 +39,7 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """
     if cut.n_qubits != rho.n_qubits:
         raise ValueError(f"cut covers {cut.n_qubits} qubits, state has {rho.n_qubits}")
-    pt = DensityMatrix(rho.n_qubits, partial_transpose(rho, cut.side_a), _trusted=True)  # rho, permuted
-    return _pt_negativity(hermitian_spectrum(pt).eigenvalues)
+    return _pt_negativity(hermitian_spectrum(partial_transpose(rho, cut.side_a)).eigenvalues)
 
 
 def _pt_negativity(eigenvalues) -> float:
@@ -108,7 +107,13 @@ def bisect_threshold(neg_of_p: Callable[[float], float]) -> float:
 
 
 def _oracle_curve(kind: CatStateKind, N: int, m: int, l: int, micro: Iterable[int]) -> Callable:
-    rho = lose_particles(to_density(build_cat(kind, N, l=l)), m)
+    psi = build_cat(kind, N, l=l)
+    micro = tuple(micro)
+    n_macro = psi.n_qubits - len(set(micro))
+    if m >= n_macro:  # refused before the density matrix is built
+        raise ValueError(f"losing m = {m} qubits leaves no macro qubit to cut; "
+                         f"with N = {N}, m must be at most {n_macro - 1}")
+    rho = lose_particles(to_density(psi), m)
     cut = Bipartition.split(micro, rho.n_qubits)
     return lambda p: (negativity(depolarize_all(rho, p), cut), None, None)
 

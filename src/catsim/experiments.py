@@ -414,7 +414,7 @@ def _check_state_invariants() -> CheckResult:
         spec = hermitian_spectrum(pt)
         worst_ptsum = max(worst_ptsum, abs(spec.sum() - 1.0))
         double = partial_transpose(pt, cut.side_a)
-        worst_dpt = max(worst_dpt, float(np.max(np.abs(double - rho.elements))))
+        worst_dpt = max(worst_dpt, float(np.max(np.abs(double.elements - rho.elements))))
     rec_err = float(np.max(np.abs(recovery.elements - to_density(w_state(2)).elements)))
     ok = (
         worst_herm <= TOL.hermiticity and worst_tr <= TOL.trace

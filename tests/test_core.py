@@ -13,6 +13,7 @@ from catsim import (
     Spectrum,
     build_cat,
     depolarize_all,
+    depolarize_qubit,
     hermitian_spectrum,
     lose_particles,
     partial_trace,
@@ -76,6 +77,32 @@ class TestTypes:
     def test_spectrum_requires_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
             Spectrum(np.array([1.0, 0.5]))
+
+
+class TestIntegerIndices:
+    """Qubit indices and counts are integers where they enter."""
+
+    @pytest.mark.parametrize("call,name", [
+        pytest.param(lambda rho: lose_particles(rho, 1.7), "m", id="lose_particles"),
+        pytest.param(lambda rho: permute_qubits(rho, [0, 1, 2, 3.5]), "permutation entry", id="permute_qubits"),
+        pytest.param(lambda rho: Bipartition.split([0.5], 3), "side_a entry", id="Bipartition.split"),
+        pytest.param(lambda rho: depolarize_qubit(rho, 1.5, 0.1), "q", id="depolarize_qubit"),
+        pytest.param(lambda rho: partial_trace(rho, [1.5]), "drop entry", id="partial_trace"),
+        pytest.param(lambda rho: partial_transpose(rho, [0.5]), "side entry", id="partial_transpose"),
+    ])
+    def test_non_integers_are_rejected(self, call, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got"):
+            call(to_density(w_cat(3)))
+
+    def test_numpy_integers_pass(self):
+        rho = to_density(w_cat(3))
+        one = np.int64(1)
+        assert lose_particles(rho, one).n_qubits == 3
+        assert permute_qubits(rho, np.arange(4)[::-1]).n_qubits == 4
+        assert Bipartition.split(np.array([0]), 3).side_b == (1, 2)
+        assert depolarize_qubit(rho, one, 0.1).n_qubits == 4
+        assert partial_trace(rho, [one]).n_qubits == 3
+        assert partial_transpose(rho, [one]).n_qubits == 4
 
 
 class TestCapacity:
@@ -195,7 +222,7 @@ class TestPartialTranspose:
     def test_double_transpose_identity(self, rng):
         rho = to_density(random_pure(rng, 3))
         back = partial_transpose(partial_transpose(rho, (0, 2)), (0, 2))
-        assert np.max(np.abs(back - rho.elements)) <= 1e-14
+        assert np.max(np.abs(back.elements - rho.elements)) <= 1e-14
 
     def test_sides_share_spectrum(self, rng):
         rho = to_density(random_pure(rng, 3))
@@ -239,20 +266,25 @@ class TestHermitianSpectrum:
         assert np.array_equal(ev1, ev2)
 
 
-def noisy_pt(kind: CatStateKind, N: int, m: int, p: float, l: int = 2) -> np.ndarray:
+def noisy_pt(kind: CatStateKind, N: int, m: int, p: float, l: int = 2) -> DensityMatrix:
     """Micro : macro partial transpose of a cat after losing m qubits and depolarizing."""
     rho = depolarize_all(lose_particles(to_density(build_cat(kind, N, l=l)), m), p)
     return partial_transpose(rho, (0,))
 
 
-def block_sizes(mat: np.ndarray) -> list:
-    labels = _block_labels(np.asarray(mat, dtype=complex))
+def dense(op) -> np.ndarray:
+    return op.elements if isinstance(op, DensityMatrix) else np.asarray(op, dtype=complex)
+
+
+def block_sizes(op) -> list:
+    mat = dense(op)
+    labels = _block_labels(len(mat), *np.nonzero(mat))
     return sorted(np.bincount(labels)[np.unique(labels)].tolist())
 
 
-def max_spectrum_deviation(mat: np.ndarray) -> float:
+def max_spectrum_deviation(op) -> float:
     """Block-wise spectrum against one full eigensolve of the same matrix."""
-    return float(np.max(np.abs(hermitian_spectrum(mat).eigenvalues - np.linalg.eigvalsh(mat))))
+    return float(np.max(np.abs(hermitian_spectrum(op).eigenvalues - np.linalg.eigvalsh(dense(op)))))
 
 
 class TestBlockSpectrum:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import catsim.analytic
 import catsim.cli
+import catsim.core
 import catsim.entanglement
 from catsim import CatStateKind, get_dense_cap, set_dense_cap, vanishing_noise_threshold
 from catsim.cli import build_parser, main
@@ -316,14 +317,16 @@ class TestValidate:
         report = validate_report(full=False)
         assert not report.ok
 
-    @pytest.mark.parametrize("entry,measure", [((0, -1), "Hermiticity defect"), ((0, 0), "trace defect")])
+    # entries of the stored slices: (0, 0) is M[0, 0] on the diagonal slice,
+    # (-1, 0) is M[0, x] on the last slice, x != 0, without its mirror M[x, 0]
+    @pytest.mark.parametrize("entry,measure", [((-1, 0), "Hermiticity defect"), ((0, 0), "trace defect")])
     def test_map_breaking_an_invariant_is_caught(self, entry, measure, monkeypatch):
         # the maps build their results unchecked, so validate measures them
         original = catsim.noise._depolarize_inplace
 
-        def skewed(mat, n, qubits, p):
-            original(mat, n, qubits, p)
-            mat[entry] += 1e-11  # above TOL.hermiticity, below the spectrum's 1e-10
+        def skewed(values, offsets, qubits, p):
+            original(values, offsets, qubits, p)
+            values[entry] += 1e-11  # above TOL.hermiticity, below the spectrum's 1e-10
 
         monkeypatch.setattr(catsim.noise, "_depolarize_inplace", skewed)
         check = catsim.experiments._check_state_invariants()
@@ -514,6 +517,23 @@ class TestCli:
         assert code == 2
         assert "need N - m >= 2, got N - m = 1" in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_loss_leaving_no_macro_qubit_fails_before_the_density_matrix(
+        self, m, tmp_path, capsys, monkeypatch
+    ):
+        # the 12-qubit density matrix used to be built first (about 370 MB)
+        built = []
+        spy = lambda psi: built.append(psi)
+        monkeypatch.setattr(catsim.core, "to_density", spy)
+        monkeypatch.setattr(catsim.entanglement, "to_density", spy)
+        code = main(["sweep", "--state", "wcat", "--n", "11", "--m", str(m),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"losing m = {m} qubits leaves no macro qubit to cut; with N = 11, m must be at most 10" in err
+        assert built == []
+        assert not (tmp_path / "x.csv").exists()
 
     def test_each_call_applies_its_log_level(self, tmp_path, caplog):
         root = logging.getLogger()

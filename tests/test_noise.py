@@ -26,6 +26,7 @@ from catsim import (
     w_cat,
 )
 from catsim.cats import build_cat
+from catsim.core import _slices
 from catsim.noise import _depolarize_inplace
 from conftest import assert_state_invariants, lossy_wcat_matrix, random_pure
 
@@ -220,8 +221,9 @@ def test_slice_kernel_matches_strided_on_sparse_hermitian(seed, n, fill, p, data
     expected = mat.copy()
     for q in qubits:
         strided_depolarize(expected, n, q, p)
-    _depolarize_inplace(mat, n, qubits, p)
-    assert_bits_equal(mat, expected)
+    offsets, values = _slices(mat)
+    _depolarize_inplace(values, offsets, qubits, p)
+    assert_bits_equal(DensityMatrix(n, (offsets, values), _trusted=True).elements, expected)
 
 
 class TestLoseParticles:
