@@ -9,7 +9,7 @@ data files::
     catsim fig4                          large-N closed-form surface with per-m thresholds
     catsim thresholds                    competitor-cat separability verdicts
     catsim sweep --state wcat --n 6 ...  free-form parameter sweep
-    catsim validate                      full invariant battery (exit 0 iff green)
+    catsim validate                      invariant battery (exit 0 iff green)
 
 Exit codes: 0 success, 1 validation failure, 2 bad arguments, 3 capacity
 error (a requested dense state would exceed the qubit cap).
@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(ps, 0.0, 1.0, 0.01)
     _add_output(ps, "sweep.csv")
 
-    pv = sub.add_parser("validate", help="run every module invariant; exit 0 iff all pass")
-    pv.add_argument("--fast", action="store_true", help="smaller grids (development aid)")
+    sub.add_parser("validate", help="run every module invariant; exit 0 iff all pass")
 
     for cmd in (p2, ps):  # the commands that run the dense oracle at a user-chosen N
         cmd.add_argument("--threads", type=_positive_int, default=1,
@@ -148,7 +147,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "validate":
-        report = experiments.validate_report(full=not args.fast, progress=print)
+        report = experiments.validate_report(progress=print)
         print(report.lines()[-1])
         return 0 if report.ok else 1
 

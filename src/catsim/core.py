@@ -391,32 +391,23 @@ def partial_trace(rho: DensityMatrix, drop: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(remaining, (offsets, values), _trusted=True)
 
 
-def partial_transpose(rho, side: Sequence[int]):
-    """Transpose the qubits in ``side``, keeping the input's type.
+def partial_transpose(rho: DensityMatrix, side: Sequence[int]) -> DensityMatrix:
+    """Transpose the qubits in ``side`` of a DensityMatrix.
 
-    A DensityMatrix gives a DensityMatrix: the partial transpose of a state
-    is Hermitian with trace 1, which is all that class asserts, but
-    generally not positive; negative eigenvalues witness entanglement
-    across side : rest.  A square 2^n x 2^n ndarray gives an ndarray, so
-    the operation can be applied to any matrix.  Transposing the same side
-    twice is the identity, and transposing the complementary side yields
-    the same spectrum (the full transpose of a Hermitian matrix).
+    The result is a DensityMatrix: the partial transpose of a state is
+    Hermitian with trace 1, which is all that class asserts, but generally
+    not positive; negative eigenvalues witness entanglement across
+    side : rest.  Transposing the same side twice is the identity, and
+    transposing the complementary side yields the same spectrum (the full
+    transpose of a Hermitian matrix).
 
     Entry (i, j) moves to (i ^ y, j ^ y) with y = (i ^ j) & mask, the side's
     bits of its offset, so every slice keeps its offset x and its row is
     permuted by i -> i ^ (x & mask).  Only entries move.
     """
-    if isinstance(rho, DensityMatrix):
-        n, offsets, values = rho.n_qubits, rho.offsets, rho.values
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        d = mat.shape[0]
-        if d < 1 or d & (d - 1):
-            raise ValueError(f"matrix side {d} is not a power of 2")
-        n = d.bit_length() - 1
-        offsets, values = _slices(mat)
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"expected DensityMatrix, got {type(rho).__name__}")
+    n, offsets, values = rho.n_qubits, rho.offsets, rho.values
     side_set = {_index(q, "side entry") for q in side}
     if not side_set <= set(range(n)):
         raise ValueError(f"side indices {sorted(side_set)} outside 0..{n - 1}")
@@ -426,9 +417,7 @@ def partial_transpose(rho, side: Sequence[int]):
     for y in np.unique(flips):
         rows = flips == y
         moved[rows] = values[rows][:, index ^ y]
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(n, (offsets, moved), _trusted=True)
-    return _dense(offsets, moved)
+    return DensityMatrix(n, (offsets, moved), _trusted=True)
 
 
 _STRIP = 32  # rows per pass of the Hermiticity check
@@ -480,9 +469,10 @@ def _block_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def hermitian_spectrum(op) -> Spectrum:
     """Eigenvalues of a Hermitian operator, ascending.
 
-    Accepts a DensityMatrix, Hermitian by construction, or a square ndarray
-    (e.g. a partial transpose), which is rejected if its hermiticity defect
-    exceeds 1e-10.  Output is deterministic for identical input.
+    Accepts a DensityMatrix (a state or a partial transpose), Hermitian by
+    construction, or any square ndarray, which is rejected if its
+    hermiticity defect exceeds 1e-10.  Output is deterministic for
+    identical input.
 
     The basis indices are split into the connected components of the
     nonzero entries, (i, i ^ x_s) for the slices of a DensityMatrix, which

@@ -77,6 +77,9 @@ DEFAULT_P_STEP = 0.005
 DEFAULT_P_MAX = 0.6
 FIG4_P_STEP = 0.0005
 FIG4_P_MAX = 0.05
+# Lists built whole before any point is evaluated: a p-grid, and the rows of
+# one fig1, fig3 or fig4 file.
+MAX_ROWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,15 @@ def p_grid(p_min: float, p_max: float, p_step: float) -> list:
     if not math.isfinite(span):
         raise ValueError(f"step {p_step} is too small for the range [{p_min}, {p_max}]")
     count = int(math.floor(span + 1e-9)) + 1
-    if count > 10**6:  # the list is built before any point is evaluated
+    if count > MAX_ROWS:
         raise ValueError(f"step {p_step} gives {count} points over [{p_min}, {p_max}]; at most 10^6")
     return [min(p_min + i * p_step, p_max) for i in range(count)]
+
+
+def _check_rows(rows: int) -> None:
+    """Refuse a file of more than MAX_ROWS rows before building any of them."""
+    if rows > MAX_ROWS:
+        raise ValueError(f"the request gives {rows} rows; at most 10^6")
 
 
 def _map_points(fn: Callable, points: Sequence, threads: int) -> list:
@@ -195,6 +204,7 @@ def fig1_records(n_list: Sequence[int]) -> list:
     Closed-form log2(2 - m/N) rows for m = 0..N-1; ``validate`` checks the
     law against the dense oracle.
     """
+    _check_rows(sum(n_list))
     records = [
         SweepRecord(state=CatStateKind.W_CAT.value, N=N, m=m, p=0.0,
                     entanglement=loss_only_entanglement(N, m), engine="analytic")
@@ -240,6 +250,7 @@ def fig3_records(N: int, m_max: int, grid: Sequence[float]) -> list:
     dense oracle; ``fig2`` files carry both W-cat engines side by side.
     """
     _check_m_max(N, m_max)
+    _check_rows((m_max + 1) * len(grid))
     chunks = []
     for m in range(0, m_max + 1):
         chunks += _sweep([(CatStateKind.W_CAT, "analytic")], N, m, grid)
@@ -254,6 +265,7 @@ def fig4_records(N: int, m_max: int, grid: Sequence[float]) -> tuple:
     thresholds are recorded in the data file; ``thresholds`` maps m to p*.
     """
     _check_m_max(N, m_max)
+    _check_rows((m_max + 1) * (len(grid) + 1))
     chunks, thresholds = [], {}
     for m in range(0, m_max + 1):
         p_star = analytic.large_n_threshold(N, m)
@@ -515,11 +527,11 @@ def _check_permutation_symmetry() -> CheckResult:
     )
 
 
-def _check_loss_law(n_max: int) -> CheckResult:
+def _check_loss_law() -> CheckResult:
     """The dense oracle's noiseless log-negativity against the loss law, at
-    every (N, m) with N <= n_max: the rows ``fig1`` writes from the law."""
+    every (N, m) with N <= 10: the rows ``fig1`` writes from the law."""
     worst = 0.0
-    for N in range(1, n_max + 1):
+    for N in range(1, 11):
         for m in range(0, N):
             exact = _ebits(engine_curve("oracle", CatStateKind.W_CAT, N, m)(0.0)[0])
             worst = max(worst, abs(exact - loss_only_entanglement(N, m)))
@@ -527,25 +539,19 @@ def _check_loss_law(n_max: int) -> CheckResult:
     return CheckResult(
         "loss-only entanglement law",
         ok,
-        f"worst |oracle - log2(2 - m/N)| = {worst:.2e} over N=1..{n_max}",
+        f"worst |oracle - log2(2 - m/N)| = {worst:.2e} over N=1..10",
     )
 
 
-def _equivalence_grid(n_max: int):
-    for N in range(2, n_max + 1):
-        for m in range(0, N - 1):
-            if N + 1 - m > 9:
-                continue
-            for i in range(0, 11):
-                yield N, m, 0.05 * i
-
-
-def _oracle_spectra(n_max: int) -> dict:
+def _oracle_spectra() -> dict:
     """Dense PT spectrum of the noisy W-cat at every point of the closed
-    form's validity grid, keyed by (N, m, p)."""
+    form's validity grid (N <= 10, remnant >= 2, at most 9 surviving
+    qubits, p = 0, 0.05, ..., 0.5), keyed by (N, m, p)."""
+    grid = [(N, m, 0.05 * i) for N in range(2, 11) for m in range(0, N - 1) if N + 1 - m <= 9
+            for i in range(0, 11)]
     return {
         (N, m, p): hermitian_spectrum(partial_transpose(noisy_wcat(N, m, p), (0,))).eigenvalues
-        for N, m, p in _equivalence_grid(n_max)
+        for N, m, p in grid
     }
 
 
@@ -592,9 +598,7 @@ def _check_truncation(spectra: dict) -> CheckResult:
         g, entangled = gap(*key, ev)
         if entangled:
             gaps[key] = g
-    ref = gaps.get((8, 1, 0.1))
-    if ref is None:  # the fast grid stops short of 9 surviving qubits
-        ref, _ = gap(8, 1, 0.1, hermitian_spectrum(partial_transpose(noisy_wcat(8, 1, 0.1), (0,))).eigenvalues)
+    ref, _ = gap(8, 1, 0.1, spectra[8, 1, 0.1])
     violations = [key for key, g in gaps.items() if g > 1e-2]
     worst = max(((g, key) for key, g in gaps.items()), key=lambda t: t[0], default=(0.0, None))
     ok = ref < 1e-2
@@ -678,8 +682,8 @@ def _check_determinism() -> CheckResult:
     )
 
 
-def validate_report(full: bool = True, progress: Optional[Callable[[str], None]] = None) -> ValidationReport:
-    """Run the whole invariant battery; ``full=False`` shrinks the grids.
+def validate_report(progress: Optional[Callable[[str], None]] = None) -> ValidationReport:
+    """Run the whole invariant battery.
 
     This is where the closed form meets the dense oracle: the loss law at
     every N <= 10 (the figure commands write closed-form rows unchecked),
@@ -687,7 +691,6 @@ def validate_report(full: bool = True, progress: Optional[Callable[[str], None]]
     of PT spectra over the closed form's validity grid (remnant >= 2, at
     most 9 surviving qubits).
     """
-    n_max = 10 if full else 6
     checks = []
 
     def run(fn, *args):
@@ -699,8 +702,8 @@ def validate_report(full: bool = True, progress: Optional[Callable[[str], None]]
     run(_check_state_invariants)
     run(_check_channel_algebra)
     run(_check_permutation_symmetry)
-    run(_check_loss_law, n_max)
-    spectra = _oracle_spectra(n_max)
+    run(_check_loss_law)
+    spectra = _oracle_spectra()
     run(_check_oracle_equivalence, spectra)
     run(_check_truncation, spectra)
     run(_check_reductions)

@@ -304,7 +304,7 @@ def test_criterion_7_critical_visibility():
 
 
 def test_criterion_8_validation_battery():
-    report = validate_report(full=True)
+    report = validate_report()
     detail = "; ".join(f"{c.name}: {'ok' if c.ok else 'FAIL'}" for c in report.checks)
     _report(8, report.ok, f"validate battery ({len(report.checks)} checks): {detail}")
     assert report.ok, "\n".join(report.lines())

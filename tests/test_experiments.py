@@ -296,8 +296,8 @@ class TestLossThresholds:
 
 
 class TestValidate:
-    def test_fast_battery_passes(self):
-        report = validate_report(full=False)
+    def test_battery_passes(self):
+        report = validate_report()
         assert report.ok, "\n".join(report.lines())
         names = [c.name for c in report.checks]
         assert "two-eigenvalue truncation" in names
@@ -314,7 +314,7 @@ class TestValidate:
             return type(co)(**{**co.__dict__, "b": co.b * (1 + 1e-6)})
 
         monkeypatch.setattr(catsim.analytic, "coefficients", tampered)
-        report = validate_report(full=False)
+        report = validate_report()
         assert not report.ok
 
     # entries of the stored slices: (0, 0) is M[0, 0] on the diagonal slice,
@@ -481,6 +481,27 @@ class TestCli:
         assert built == []
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv,rows", [
+        pytest.param(["fig1", "--n-list", "2000000"], 2_000_000, id="fig1"),
+        pytest.param(["fig3", "--n", "10000000", "--m-max", "9999998"], 9_999_999 * 121, id="fig3"),
+        pytest.param(["fig4", "--n", "100000", "--m-max", "10000"], 10_001 * 102, id="fig4"),
+    ])
+    def test_more_than_a_million_rows_fail_before_any_record(
+        self, argv, rows, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("a record or threshold was built")  # stop at the first
+
+        monkeypatch.setattr(catsim.experiments, "SweepRecord", spy)
+        monkeypatch.setattr(catsim.analytic, "large_n_threshold", spy)
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert f"the request gives {rows} rows; at most 10^6" in capsys.readouterr().err
+        assert built == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fig2_n_below_two_fails_before_any_point(self, tmp_path, capsys, monkeypatch):
         built = []
         monkeypatch.setattr(catsim.experiments, "engine_curve",
@@ -557,6 +578,7 @@ class TestCli:
         ["fig3", "--dense-cap", "3"],
         ["thresholds", "--dense-cap", "3"],
         ["validate", "--dense-cap", "3"],
+        ["validate", "--fast"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -634,8 +656,8 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 15  # header + 14 points
 
-    def test_validate_fast_exit_zero(self, capsys):
-        assert main(["validate", "--fast"]) == 0
+    def test_validate_exit_zero(self, capsys):
+        assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "ALL CHECKS PASSED" in out
 

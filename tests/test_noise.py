@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from catsim import (
     Bipartition,
-    CatStateKind,
     DensityMatrix,
     WCatParams,
     depolarize_all,
@@ -25,7 +24,6 @@ from catsim import (
     to_density,
     w_cat,
 )
-from catsim.cats import build_cat
 from catsim.core import _slices
 from catsim.noise import _depolarize_inplace
 from conftest import assert_state_invariants, lossy_wcat_matrix, random_pure
@@ -142,41 +140,9 @@ def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
     assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
-def _family_inputs():
-    """(kind, N, m) for every family whose state has 7 to 11 qubits after losing m."""
-    for kind in CatStateKind:
-        for n in range(7, 12):
-            for m in (0, 1):
-                if kind is CatStateKind.PSI3_CONCAT:  # l = 2 qubits per block
-                    if (n + m) % 2:
-                        continue
-                    N = (n + m) // 2 - 1
-                else:
-                    N = n + m - 1
-                yield pytest.param(kind, N, m, id=f"{kind.value}-{n}q-m{m}")
-
-
 class TestSliceKernel:
-    """The slice kernel against the strided reference, bit for bit."""
-
-    @pytest.mark.parametrize("kind,N,m", list(_family_inputs()))
-    def test_cat_families_bit_identical(self, kind, N, m):
-        rho = lose_particles(to_density(build_cat(kind, N)), m)
-        before = rho.elements.copy()
-        n = rho.n_qubits
-        expected = np.empty_like(before)
-        for p in (0.0, 0.05, 0.3, 1.0):
-            np.copyto(expected, before)
-            for q in range(n):
-                strided_depolarize(expected, n, q, p)
-            assert_bits_equal(depolarize_all(rho, p).elements, expected)
-        for q in range(n):  # every qubit, each at one of the nonzero strengths
-            p = (0.05, 0.3, 1.0)[q % 3]
-            np.copyto(expected, before)
-            strided_depolarize(expected, n, q, p)
-            assert_bits_equal(depolarize_qubit(rho, q, p).elements, expected)
-        assert_bits_equal(depolarize_qubit(rho, n - 1, 0.0).elements, before)
-        assert_bits_equal(rho.elements, before)  # the input is left unchanged
+    """The slice kernel against the strided reference, bit for bit; the cat
+    families run through it in ``test_slices.test_cat_pipeline_bit_identical``."""
 
     def test_dense_state_spans_several_chunks(self, rng):
         rho = to_density(random_pure(rng, 8))

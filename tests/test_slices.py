@@ -106,14 +106,15 @@ def dense_spectrum(mat: np.ndarray) -> np.ndarray:
 
 def _pipeline_inputs():
     """(kind, N, m) with 7 to 11 qubits after losing m macro qubits, or for
-    psi3 (l = 2) m whole blocks, and at most 12 before."""
+    psi3 (l = 2) m whole blocks, and at most 12 before; psi3 also loses one
+    physical qubit (id ``m1q``), which leaves the odd registers."""
     for kind in CatStateKind:
+        psi3 = kind is CatStateKind.PSI3_CONCAT
         for n in range(7, 12):
-            for m in (0, 1, 2):
-                lost = 2 * m if kind is CatStateKind.PSI3_CONCAT else m
-                if n + lost > 12 or (kind is CatStateKind.PSI3_CONCAT and n % 2):
+            for m, lost in ((0, 0), (1, 2), (2, 4), ("1q", 1)) if psi3 else ((0, 0), (1, 1), (2, 2)):
+                if n + lost > 12 or (psi3 and (n + lost) % 2):
                     continue
-                N = (n + lost) // 2 - 1 if kind is CatStateKind.PSI3_CONCAT else n + lost - 1
+                N = (n + lost) // 2 - 1 if psi3 else n + lost - 1
                 yield pytest.param(kind, N, lost, id=f"{kind.value}-{n}q-m{m}")
 
 
@@ -128,8 +129,9 @@ def test_cat_pipeline_bit_identical(kind, N, m):
     base = dense_trace(full, psi.n_qubits, range(n, psi.n_qubits))
     del full
     assert_same_entries(lost, base)
+    expected = np.empty_like(base)
     for p in (0.0, 0.05, 0.3, 1.0):
-        expected = base.copy()
+        np.copyto(expected, base)
         for q in range(n):
             strided_depolarize(expected, n, q, p)
         noisy = depolarize_all(lost, p)
@@ -139,6 +141,13 @@ def test_cat_pipeline_bit_identical(kind, N, m):
         assert_same_entries(pt, expected_pt)
         spectrum = hermitian_spectrum(pt).eigenvalues
         assert np.array_equal(spectrum.view(np.uint64), dense_spectrum(expected_pt).view(np.uint64))
+    for q in range(n):  # every qubit, each at one of the nonzero strengths
+        p = (0.05, 0.3, 1.0)[q % 3]
+        np.copyto(expected, base)
+        strided_depolarize(expected, n, q, p)
+        assert_same_entries(depolarize_qubit(lost, q, p), expected)
+    assert_same_entries(depolarize_qubit(lost, n - 1, 0.0), base)
+    assert_same_entries(lost, base)  # the input is left unchanged
 
 
 def _states(rng):
@@ -171,15 +180,11 @@ def test_permute_qubits_bit_identical(rng):
             assert_bits_equal(out.elements, dense_permute(rho.elements, n, perm))
 
 
-def test_partial_transpose_keeps_the_input_type(rng):
+def test_partial_transpose_keeps_the_input_type():
     rho = depolarize_all(to_density(w_cat(3)), 0.2)
     pt = partial_transpose(rho, (0, 2))
     assert isinstance(pt, DensityMatrix) and pt.n_qubits == 4
     assert_bits_equal(pt.elements, dense_transpose(rho.elements, 4, (0, 2)))
-    mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))  # any square matrix
-    out = partial_transpose(mat, (1,))
-    assert isinstance(out, np.ndarray)
-    assert_bits_equal(out, dense_transpose(mat, 3, (1,)))
 
 
 def test_elements_is_fresh_and_read_only():
