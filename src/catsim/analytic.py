@@ -13,8 +13,10 @@ Two blocks carry essentially all of the negativity:
 Both roots are exact eigenvalues of the partial transpose for R >= 3; at
 R = 2 the mixed-symmetry sector degenerates to the two-qubit singlet, its
 weight-2 partner state does not exist, and the block collapses to the 1 x 1
-entry (a1 - b1)/2 (oracle-verified to machine precision).  Everything is
-O(1) per evaluation, so the engine works unchanged at N = 10^3 and beyond.
+entry (a1 - b1)/2 (oracle-verified to machine precision).  The work that
+does not depend on p is done once per (N, m) curve, and each point then
+costs a fixed number of operations above N = 64 (one log, five exps), so
+the engine works unchanged at N = 10^3 and beyond.
 
 The remaining blocks contribute only a small correction to the logarithmic
 negativity (about 6e-3 ebits at N=8, m=1, p=0.1); ``approx_log_negativity``
@@ -26,9 +28,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .cats import CatStateKind
-from .core import TOL
+from .core import TOL, _index
 from .entanglement import _ebits, vanishing_noise_threshold
 
 __all__ = [
@@ -67,10 +70,7 @@ class WCatParams:
     p: float
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if not 0 <= self.m <= self.N:
-            raise ValueError(f"m must be in 0..{self.N}, got {self.m}")
+        _counts(self.N, self.m)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
 
@@ -130,23 +130,42 @@ class DominantPair:
     def negativity(self) -> float:
         """Negativity of the two roots, each counted with its multiplicity;
         roots above -1e-15 are rounding residue and contribute nothing."""
-        nu = 0.0
-        for lam, mult in ((self.lambda1, self.multiplicity1), (self.lambda2, self.multiplicity2)):
-            if lam < TOL.formula_clamp:
-                nu -= mult * lam
-        return nu
+        return _point(self.lambda1, self.lambda2, self.multiplicity1, self.multiplicity2)[0]
 
 
-def _pow(base: float, k: int, log_domain: bool) -> float:
-    """base**k for integer k (possibly negative), base in (0, 1]."""
+def _point(lambda1: float, lambda2: float, mult1: int, mult2: int) -> tuple:
+    """(negativity, lambda1, lambda2) from the fields of a ``DominantPair``."""
+    nu = 0.0
+    for lam, mult in ((lambda1, mult1), (lambda2, mult2)):
+        if lam < TOL.formula_clamp:
+            nu -= mult * lam
+    return nu, lambda1, lambda2
+
+
+def _powers(base: float, lo: int, hi: int, log_domain: bool) -> list:
+    """[base**k for k in lo..hi], for integers -1 <= lo <= hi and base in (0, 1].
+
+    The log domain takes one log and one exp per power; the plain domain is
+    one running product, whose k-th entry is k multiplications by base.
+    """
     if log_domain:
-        return math.exp(k * math.log(base))
-    if k < 0:
-        base, k = 1.0 / base, -k
-    out = 1.0
-    for _ in range(k):
-        out *= base
-    return out
+        lg = math.log(base)
+        return [math.exp(k * lg) for k in range(lo, hi + 1)]
+    chain = [1.0]
+    for _ in range(hi):
+        chain.append(chain[-1] * base)
+    return [chain[k] if k >= 0 else 1.0 / base for k in range(lo, hi + 1)]
+
+
+def _counts(N, m) -> tuple:
+    """N and m as ints (numpy integers pass), with N >= 1 and 0 <= m <= N."""
+    N = _index(N, "N")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    m = _index(m, "m")
+    if not 0 <= m <= N:
+        raise ValueError(f"m must be in 0..{N}, got {m}")
+    return N, m
 
 
 def _check_remnant(R: int) -> None:
@@ -160,58 +179,77 @@ def _check_remnant(R: int) -> None:
         )
 
 
+def _coefficients(N: int, m: int) -> Callable:
+    """p -> the twelve coefficients in ``CoefficientSet`` field order, for
+    checked counts; the remnant check and the p-independent terms are done
+    once, here, and each p makes one ``_powers`` call."""
+    R = N - m
+    _check_remnant(R)
+    log_dom = N > _LOG_DOMAIN_N
+    m_N, R_N, sqrt_N = m / N, R / N, math.sqrt(N)
+
+    def at(p: float) -> tuple:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {p}")
+        h = p / 2.0  # white-noise weight per qubit
+        pt = 1.0 - h  # p_tilde
+        pt3, pt2, pt1, pt0, ptp = _powers(pt, R - 3, R + 1, log_dom)  # pt**(R-3) .. pt**(R+1)
+        q2 = (1.0 - p) ** 2
+        alpha1 = (pt0 + (R - 1) * h * h * pt2) / N
+        alpha2 = (2.0 * pt1 * h + (R - 2) * h**3 * pt3) / N
+        gamma1 = R_N * h * pt1
+
+        a = gamma1 * pt + m_N * ptp + h * pt0
+        b = q2 * pt1 / sqrt_N
+        c = alpha1 * h + m_N * h * h * pt1 + h * pt0
+        d = h * q2 * pt2 / N
+        a1 = h * h * pt1 + m_N * h * pt0 + alpha1 * pt
+        b1 = q2 * pt1 / N
+        e = q2 * h * pt2 / sqrt_N
+        f = h * h * pt1 + m_N * h**3 * pt2 + alpha2 * h
+        g = q2 * h * h * pt3 / N
+        return a, b, c, d, a1, b1, e, f, g, alpha1, alpha2, gamma1
+
+    return at
+
+
+def _curve(N: int, m: int, make: Callable = _point) -> Callable:
+    """The closed-form engine's curve at (N, m), checked once, here: p ->
+    ``make(lambda1, lambda2, multiplicity1, multiplicity2)``, by default
+    (negativity, lambda1, lambda2).  See ``dominant_eigenvalues``."""
+    N, m = _counts(N, m)
+    coeffs = _coefficients(N, m)
+    R = N - m
+    nt = R - 4  # n_tilde
+
+    def point(p: float):
+        a, b, c, d, a1, b1, e, f, g, _, _, _ = coeffs(p)
+        diag_sym = c + (R - 1) * d
+        root_sym = 0.25 * (diag_sym + a - math.sqrt(4.0 * R * b**2 + (diag_sym - a) ** 2))
+        if R == 2:
+            # The mixed-symmetry sector of two qubits is the singlet alone: its
+            # weight-2 partner does not exist and the block is the 1x1 entry.
+            root_mix = 0.5 * (a1 - b1)
+        else:
+            s = a1 - b1 + f + nt * g
+            t = -a1 + b1 + f + nt * g
+            root_mix = 0.25 * (s - math.sqrt(4.0 * (nt + 2) * e**2 + t * t))
+        if root_mix < root_sym:
+            logger.debug("mixed-symmetry root %g below symmetric root %g at WCatParams(N=%d, m=%d, p=%r)",
+                         root_mix, root_sym, N, m, p)
+            return make(root_mix, root_sym, R - 1, 1)
+        return make(root_sym, root_mix, 1, R - 1)
+
+    return point
+
+
 def coefficients(params: WCatParams) -> CoefficientSet:
     """Evaluate the twelve coefficients at the given parameters.
 
     Requires N - m >= 2.  p_tilde is raised to each of the five exponents
     R - 3 .. R + 1 once.
     """
-    R = params.remnant
-    _check_remnant(R)
-    N, m, p = params.N, params.m, params.p
-    pt = params.p_tilde
-    log_dom = N > _LOG_DOMAIN_N
-    ptk = {k: _pow(pt, k, log_dom) for k in range(R - 3, R + 2)}.__getitem__
-    h = p / 2.0  # white-noise weight per qubit
-    q2 = (1.0 - p) ** 2
-
-    alpha1 = (ptk(R) + (R - 1) * h * h * ptk(R - 2)) / N
-    alpha2 = (2.0 * ptk(R - 1) * h + (R - 2) * h**3 * ptk(R - 3)) / N
-    gamma1 = (R / N) * h * ptk(R - 1)
-
-    a = gamma1 * pt + (m / N) * ptk(R + 1) + h * ptk(R)
-    b = q2 * ptk(R - 1) / math.sqrt(N)
-    c = alpha1 * h + (m / N) * h * h * ptk(R - 1) + h * ptk(R)
-    d = h * q2 * ptk(R - 2) / N
-    a1 = h * h * ptk(R - 1) + (m / N) * h * ptk(R) + alpha1 * pt
-    b1 = q2 * ptk(R - 1) / N
-    e = q2 * h * ptk(R - 2) / math.sqrt(N)
-    f = h * h * ptk(R - 1) + (m / N) * h**3 * ptk(R - 2) + alpha2 * h
-    g = q2 * h * h * ptk(R - 3) / N
-
-    return CoefficientSet(
-        a=a, b=b, c=c, d=d, a1=a1, b1=b1, e=e, f=f, g=g,
-        alpha1=alpha1, alpha2=alpha2, gamma1=gamma1,
-    )
-
-
-def _block_roots(params: WCatParams, co: CoefficientSet) -> tuple:
-    """Smaller root of each contributing block, in construction order."""
-    R = params.remnant
-    nt = params.n_tilde
-    diag_sym = co.c + (R - 1) * co.d
-    root_sym = 0.25 * (
-        diag_sym + co.a - math.sqrt(4.0 * R * co.b**2 + (diag_sym - co.a) ** 2)
-    )
-    if R == 2:
-        # The mixed-symmetry sector of two qubits is the singlet alone: its
-        # weight-2 partner does not exist and the block is the 1x1 entry.
-        root_mix = 0.5 * (co.a1 - co.b1)
-    else:
-        s = co.a1 - co.b1 + co.f + nt * co.g
-        t = -co.a1 + co.b1 + co.f + nt * co.g
-        root_mix = 0.25 * (s - math.sqrt(4.0 * (nt + 2) * co.e**2 + t * t))
-    return root_sym, root_mix
+    return CoefficientSet(*_coefficients(params.N, params.m)(params.p))
 
 
 def dominant_eigenvalues(params: WCatParams) -> DominantPair:
@@ -222,15 +260,7 @@ def dominant_eigenvalues(params: WCatParams) -> DominantPair:
     symmetric root is the more negative, and a violation of that ordering
     (seen only past the separability threshold) is logged at debug level.
     """
-    co = coefficients(params)
-    root_sym, root_mix = _block_roots(params, co)
-    mult_mix = params.remnant - 1
-    if root_mix < root_sym:
-        logger.debug(
-            "mixed-symmetry root %g below symmetric root %g at %s", root_mix, root_sym, params
-        )
-        return DominantPair(root_mix, root_sym, mult_mix, 1)
-    return DominantPair(root_sym, root_mix, 1, mult_mix)
+    return _curve(params.N, params.m, DominantPair)(params.p)
 
 
 def approx_negativity(params: WCatParams) -> float:
@@ -250,10 +280,7 @@ def approx_log_negativity(params: WCatParams) -> float:
 
 def loss_only_entanglement(N: int, m: int) -> float:
     """log2(2 - m/N): micro : macro entanglement after losing m of N, no noise."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not 0 <= m <= N:
-        raise ValueError(f"m must be in 0..{N}, got {m}")
+    N, m = _counts(N, m)
     return math.log2(2.0 - m / N)
 
 

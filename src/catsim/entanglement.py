@@ -121,15 +121,8 @@ def _oracle_curve(kind: CatStateKind, N: int, m: int, l: int, micro: Iterable[in
 def _closed_form_curve(kind: CatStateKind, N: int, m: int, l: int, micro: Iterable[int]) -> Callable:
     if kind is not CatStateKind.W_CAT:
         raise ValueError(f"the analytic engine only covers {CatStateKind.W_CAT.value}, got {kind.value}")
-    from .analytic import WCatParams, _check_remnant, dominant_eigenvalues
-
-    _check_remnant(N - m)
-
-    def point(p: float) -> tuple:
-        pair = dominant_eigenvalues(WCatParams(N=N, m=m, p=p))
-        return pair.negativity, pair.lambda1, pair.lambda2
-
-    return point
+    from .analytic import _curve
+    return _curve(N, m)
 
 
 # The engines: each maps a cat family, N, m, the psi3 block size l and the

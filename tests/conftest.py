@@ -3,11 +3,19 @@ import pytest
 
 from catsim import TOL, Bipartition, DensityMatrix, PureState
 from catsim.core import _hermiticity_defect
+from catsim.experiments import validate_report
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def validate_battery():
+    """One run of the unpatched ``validate`` battery, for the tests that only
+    read its report."""
+    return validate_report()
 
 
 def random_pure(rng, n_qubits: int) -> PureState:

@@ -48,7 +48,6 @@ from catsim import (
     vanishing_noise_threshold,
     w_cat,
 )
-from catsim.experiments import validate_report
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -303,8 +302,8 @@ def test_criterion_7_critical_visibility():
     assert strictly_decreasing, f"not strictly decreasing over N=2..30: {values[1:]}"
 
 
-def test_criterion_8_validation_battery():
-    report = validate_report()
+def test_criterion_8_validation_battery(validate_battery):
+    report = validate_battery
     detail = "; ".join(f"{c.name}: {'ok' if c.ok else 'FAIL'}" for c in report.checks)
     _report(8, report.ok, f"validate battery ({len(report.checks)} checks): {detail}")
     assert report.ok, "\n".join(report.lines())

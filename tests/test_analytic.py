@@ -7,6 +7,7 @@ import pytest
 import catsim.analytic
 from catsim import (
     Bipartition,
+    CatStateKind,
     CoefficientSet,
     WCatParams,
     approx_log_negativity,
@@ -17,10 +18,13 @@ from catsim import (
     large_n_threshold,
     log_negativity,
     loss_only_entanglement,
+    TOL,
     noisy_wcat,
     partial_transpose,
 )
-from catsim.analytic import _pow
+from catsim.analytic import _powers
+from catsim.entanglement import engine_curve
+from catsim.experiments import FIG4_P_MAX, FIG4_P_STEP, p_grid
 
 # Twelve coefficients at (N=8, m=1, p=0.1), evaluated once in 50-digit
 # arithmetic from the displayed expressions (p = 1/10 makes all but the
@@ -56,6 +60,21 @@ class TestWCatParams:
         with pytest.raises(ValueError):
             WCatParams(N=4, m=0, p=1.2)
 
+    def test_counts_must_be_integers(self):
+        with pytest.raises(TypeError, match=r"^m must be an integer, got 1\.5$"):
+            WCatParams(8, 1.5, 0.1)
+        with pytest.raises(TypeError, match=r"^N must be an integer, got 8\.0$"):
+            coefficients(WCatParams(8.0, 1, 0.1))
+        with pytest.raises(TypeError, match=r"^N must be an integer, got 1000\.0$"):
+            large_n_threshold(1000.0, 100)
+        with pytest.raises(TypeError, match=r"^m must be an integer, got 1\.0$"):
+            engine_curve("analytic", CatStateKind.W_CAT, 8, 1.0)
+
+    def test_numpy_integer_counts_pass(self):
+        params = WCatParams(np.int64(8), np.int32(1), 0.1)
+        assert coefficients(params) == coefficients(WCatParams(8, 1, 0.1))
+        assert large_n_threshold(np.int64(10), np.int64(0)) == large_n_threshold(10, 0)
+
 
 class TestCoefficients:
     def test_golden_values(self):
@@ -68,15 +87,18 @@ class TestCoefficients:
         assert list(GOLDEN_8_1_01) == [f.name for f in fields(CoefficientSet)]
 
     def test_each_power_of_p_tilde_is_evaluated_once(self, monkeypatch):
-        exponents, real_pow = [], catsim.analytic._pow
+        exponents, real_powers = [], catsim.analytic._powers
 
-        def counting_pow(base, k, log_domain):
-            exponents.append(k)
-            return real_pow(base, k, log_domain)
+        def counting_powers(base, lo, hi, log_domain):
+            exponents.extend(range(lo, hi + 1))
+            return real_powers(base, lo, hi, log_domain)
 
-        monkeypatch.setattr(catsim.analytic, "_pow", counting_pow)
+        monkeypatch.setattr(catsim.analytic, "_powers", counting_powers)
         coefficients(WCatParams(N=8, m=1, p=0.1))
         assert sorted(exponents) == [4, 5, 6, 7, 8]  # R - 3 .. R + 1 at R = 7
+        exponents.clear()
+        engine_curve("analytic", CatStateKind.W_CAT, 8, 1)(0.1)  # the figures' path
+        assert sorted(exponents) == [4, 5, 6, 7, 8]
 
     def test_noiseless_limits(self):
         co = coefficients(WCatParams(N=10, m=0, p=0.0))
@@ -110,12 +132,113 @@ class TestPowPaths:
     @pytest.mark.parametrize("base", [0.5, 0.7, 0.975, 1.0])
     @pytest.mark.parametrize("k", [-1, 0, 1, 3, 31, 63, 64, 65])
     def test_plain_and_log_domain_agree(self, base, k):
-        plain = _pow(base, k, False)
-        logd = _pow(base, k, True)
+        [plain] = _powers(base, k, k, False)
+        [logd] = _powers(base, k, k, True)
         assert abs(plain - logd) <= 1e-12 * max(abs(plain), 1e-300)
 
     def test_underflow_is_graceful(self):
-        assert _pow(0.5, 4000, True) == 0.0
+        assert _powers(0.5, 4000, 4000, True) == [0.0]
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_one_call_returns_each_power_alone(self, log_domain):
+        together = _powers(0.7, -1, 66, log_domain)
+        assert together == [_powers(0.7, k, k, log_domain)[0] for k in range(-1, 67)]
+
+
+def reference_point(N: int, m: int, p: float) -> tuple:
+    """The closed form evaluated point by point, as it was before the curve
+    factory: one power routine call per exponent, the twelve coefficients,
+    the two block roots, their ordering and the clamped negativity.
+
+    Returns (coefficients by field name, (lambda1, lambda2, mult1, mult2),
+    negativity).
+    """
+    def pow_(base, k, log_domain):
+        if log_domain:
+            return math.exp(k * math.log(base))
+        if k < 0:
+            base, k = 1.0 / base, -k
+        out = 1.0
+        for _ in range(k):
+            out *= base
+        return out
+
+    R = N - m
+    pt = 1.0 - p / 2.0
+    ptk = {k: pow_(pt, k, N > 64) for k in range(R - 3, R + 2)}.__getitem__
+    h = p / 2.0
+    q2 = (1.0 - p) ** 2
+    alpha1 = (ptk(R) + (R - 1) * h * h * ptk(R - 2)) / N
+    alpha2 = (2.0 * ptk(R - 1) * h + (R - 2) * h**3 * ptk(R - 3)) / N
+    gamma1 = (R / N) * h * ptk(R - 1)
+    co = dict(
+        a=gamma1 * pt + (m / N) * ptk(R + 1) + h * ptk(R),
+        b=q2 * ptk(R - 1) / math.sqrt(N),
+        c=alpha1 * h + (m / N) * h * h * ptk(R - 1) + h * ptk(R),
+        d=h * q2 * ptk(R - 2) / N,
+        a1=h * h * ptk(R - 1) + (m / N) * h * ptk(R) + alpha1 * pt,
+        b1=q2 * ptk(R - 1) / N,
+        e=q2 * h * ptk(R - 2) / math.sqrt(N),
+        f=h * h * ptk(R - 1) + (m / N) * h**3 * ptk(R - 2) + alpha2 * h,
+        g=q2 * h * h * ptk(R - 3) / N,
+        alpha1=alpha1, alpha2=alpha2, gamma1=gamma1,
+    )
+    nt = N - m - 4
+    diag_sym = co["c"] + (R - 1) * co["d"]
+    root_sym = 0.25 * (
+        diag_sym + co["a"] - math.sqrt(4.0 * R * co["b"] ** 2 + (diag_sym - co["a"]) ** 2)
+    )
+    if R == 2:
+        root_mix = 0.5 * (co["a1"] - co["b1"])
+    else:
+        s = co["a1"] - co["b1"] + co["f"] + nt * co["g"]
+        t = -co["a1"] + co["b1"] + co["f"] + nt * co["g"]
+        root_mix = 0.25 * (s - math.sqrt(4.0 * (nt + 2) * co["e"] ** 2 + t * t))
+    if root_mix < root_sym:
+        pair = (root_mix, root_sym, R - 1, 1)
+    else:
+        pair = (root_sym, root_mix, 1, R - 1)
+    nu = 0.0
+    for lam, mult in ((pair[0], pair[2]), (pair[1], pair[3])):
+        if lam < TOL.formula_clamp:
+            nu -= mult * lam
+    return co, pair, nu
+
+
+class TestEngineCurve:
+    def test_counts_checked_when_built(self):
+        with pytest.raises(ValueError, match=r"^m must be in 0\.\.8, got -1$"):
+            engine_curve("analytic", CatStateKind.W_CAT, 8, -1)
+        with pytest.raises(ValueError, match=r"^N must be >= 1, got 0$"):
+            engine_curve("analytic", CatStateKind.W_CAT, 0, 0)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_p_checked_per_point(self, p):
+        curve = engine_curve("analytic", CatStateKind.W_CAT, 8, 1)
+        with pytest.raises(ValueError, match=rf"^p must be in \[0, 1\], got {p}$"):
+            curve(p)
+
+    def test_bit_identical_to_per_point_formula(self):
+        # both power paths (N <= 64 and above), the R = 2 branch (m = N - 2),
+        # fig4's grid, and p from 0.44 to 0.7, where the roots change order
+        grid = sorted({*p_grid(0.0, FIG4_P_MAX, FIG4_P_STEP), 0.0, 0.3, 1.0,
+                       *(0.44 + 0.01 * i for i in range(27))})
+        orders = set()
+        for N in (2, 3, 4, 8, 64, 65, 200, 1000, 3000):
+            for m in sorted({0, 1, N // 10, N - 2}):
+                if N - m < 2:
+                    continue
+                curve = engine_curve("analytic", CatStateKind.W_CAT, N, m)
+                for p in grid:
+                    co, pair, nu = reference_point(N, m, p)
+                    got = coefficients(WCatParams(N, m, p))
+                    assert {k: getattr(got, k).hex() for k in co} == {k: v.hex() for k, v in co.items()}
+                    assert [x.hex() for x in curve(p)] == [nu.hex(), pair[0].hex(), pair[1].hex()]
+                    d = dominant_eigenvalues(WCatParams(N, m, p))
+                    assert (d.lambda1.hex(), d.lambda2.hex(), d.multiplicity1, d.multiplicity2) == (
+                        pair[0].hex(), pair[1].hex(), pair[2], pair[3]), (N, m, p)
+                    orders.add(pair[2] == 1)
+        assert orders == {True, False}  # both root orders were compared
 
 
 class TestDominantEigenvalues:

@@ -296,8 +296,8 @@ class TestLossThresholds:
 
 
 class TestValidate:
-    def test_battery_passes(self):
-        report = validate_report()
+    def test_battery_passes(self, validate_battery):
+        report = validate_battery
         assert report.ok, "\n".join(report.lines())
         names = [c.name for c in report.checks]
         assert "two-eigenvalue truncation" in names
@@ -306,16 +306,24 @@ class TestValidate:
 
     def test_perturbed_coefficients_are_caught(self, monkeypatch):
         # a 1e-6 relative fault in one coefficient must trip the
-        # oracle-equivalence check (tolerance 1e-9)
-        original = catsim.analytic.coefficients
+        # oracle-equivalence check (tolerance 1e-9); the engine curve the
+        # figures use evaluates the same coefficients
+        original = catsim.analytic._coefficients
+        clean = catsim.entanglement.engine_curve("analytic", CatStateKind.W_CAT, 8, 1)(0.1)
 
-        def tampered(params):
-            co = original(params)
-            return type(co)(**{**co.__dict__, "b": co.b * (1 + 1e-6)})
+        def tampered(N, m):
+            at = original(N, m)
 
-        monkeypatch.setattr(catsim.analytic, "coefficients", tampered)
+            def perturbed(p):
+                a, b, *rest = at(p)
+                return (a, b * (1 + 1e-6), *rest)
+
+            return perturbed
+
+        monkeypatch.setattr(catsim.analytic, "_coefficients", tampered)
         report = validate_report()
         assert not report.ok
+        assert catsim.entanglement.engine_curve("analytic", CatStateKind.W_CAT, 8, 1)(0.1) != clean
 
     # entries of the stored slices: (0, 0) is M[0, 0] on the diagonal slice,
     # (-1, 0) is M[0, x] on the last slice, x != 0, without its mirror M[x, 0]
@@ -656,7 +664,13 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 15  # header + 14 points
 
-    def test_validate_exit_zero(self, capsys):
+    def test_validate_exit_zero(self, capsys, monkeypatch, validate_battery):
+        def replay(progress):  # the shared run's report, printed as the battery prints it
+            for line in validate_battery.lines()[:-1]:
+                progress(line)
+            return validate_battery
+
+        monkeypatch.setattr(catsim.experiments, "validate_report", replay)
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "ALL CHECKS PASSED" in out
