@@ -12,7 +12,6 @@ from .core import (
     CapacityError,
     DensityMatrix,
     PureState,
-    Spectrum,
     Tolerances,
     get_dense_cap,
     hermitian_spectrum,
@@ -47,7 +46,6 @@ from .analytic import (
     DominantPair,
     WCatParams,
     approx_log_negativity,
-    approx_negativity,
     coefficients,
     dominant_eigenvalues,
     large_n_threshold,
@@ -63,7 +61,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "Bipartition",
-    "Spectrum",
     "tensor",
     "to_density",
     "partial_trace",
@@ -95,7 +92,6 @@ __all__ = [
     "DominantPair",
     "coefficients",
     "dominant_eigenvalues",
-    "approx_negativity",
     "approx_log_negativity",
     "loss_only_entanglement",
     "large_n_threshold",

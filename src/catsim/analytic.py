@@ -40,7 +40,6 @@ __all__ = [
     "DominantPair",
     "coefficients",
     "dominant_eigenvalues",
-    "approx_negativity",
     "approx_log_negativity",
     "loss_only_entanglement",
     "large_n_threshold",
@@ -60,9 +59,10 @@ class WCatParams:
     """Coordinates of one noisy W-cat configuration.
 
     N macro qubits, m of them lost (0 <= m <= N), depolarizing strength
-    p in [0, 1].  Derived quantities: p_tilde = 1 - p/2 in [1/2, 1],
-    remnant = N - m, and n_tilde = N - m - 4 (may be negative; it only
-    scales subdominant terms and is used as written).
+    p in [0, 1]; N and m are stored as ints.  The closed form is written in
+    p_tilde = 1 - p/2 in [1/2, 1], the remnant R = N - m, and
+    n_tilde = N - m - 4 (may be negative; it only scales subdominant terms
+    and is used as written).
     """
 
     N: int
@@ -70,21 +70,11 @@ class WCatParams:
     p: float
 
     def __post_init__(self):
-        _counts(self.N, self.m)
+        N, m = _counts(self.N, self.m)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "m", m)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
-
-    @property
-    def p_tilde(self) -> float:
-        return 1.0 - self.p / 2.0
-
-    @property
-    def remnant(self) -> int:
-        return self.N - self.m
-
-    @property
-    def n_tilde(self) -> int:
-        return self.N - self.m - 4
 
 
 @dataclass(frozen=True)
@@ -263,11 +253,6 @@ def dominant_eigenvalues(params: WCatParams) -> DominantPair:
     return _curve(params.N, params.m, DominantPair)(params.p)
 
 
-def approx_negativity(params: WCatParams) -> float:
-    """Negativity carried by the two dominant eigenvalues."""
-    return dominant_eigenvalues(params).negativity
-
-
 def approx_log_negativity(params: WCatParams) -> float:
     """Two-eigenvalue truncation of the logarithmic negativity (ebits).
 
@@ -275,7 +260,7 @@ def approx_log_negativity(params: WCatParams) -> float:
     discarded blocks shave off a correction of order 1e-2 ebits or less in
     the regimes of interest.
     """
-    return _ebits(approx_negativity(params))
+    return _ebits(dominant_eigenvalues(params).negativity)
 
 
 def loss_only_entanglement(N: int, m: int) -> float:

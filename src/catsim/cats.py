@@ -16,7 +16,7 @@ import enum
 
 import numpy as np
 
-from .core import PureState
+from .core import PureState, _index
 
 __all__ = [
     "CatStateKind",
@@ -48,6 +48,7 @@ def w_state(N: int) -> PureState:
 
     Amplitude 1/sqrt(N) at each index 2**(N-1-i) for i = 0..N-1.
     """
+    N = _index(N, "N")
     if N < 1:
         raise ValueError(f"w_state needs N >= 1, got {N}")
     amps = np.zeros(2**N, dtype=complex)
@@ -58,6 +59,7 @@ def w_state(N: int) -> PureState:
 
 def w_tilde(N: int) -> PureState:
     """All-qubit bit flip of the W state: one 0 among N - 1 ones."""
+    N = _index(N, "N")
     if N < 1:
         raise ValueError(f"w_tilde needs N >= 1, got {N}")
     w = w_state(N).amplitudes
@@ -85,6 +87,7 @@ def w_cat(N: int) -> PureState:
 
     N + 1 qubits with exactly N + 1 nonzero amplitudes.
     """
+    N = _index(N, "N")
     if N < 1:
         raise ValueError(f"w_cat needs N >= 1, got {N}")
     return _cat(w_state(N), _all_zeros(N))
@@ -92,6 +95,7 @@ def w_cat(N: int) -> PureState:
 
 def ghz_cat(N: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on N + 1 qubits."""
+    N = _index(N, "N")
     if N < 1:
         raise ValueError(f"ghz_cat needs N >= 1, got {N}")
     amps = np.zeros(2**(N + 1), dtype=complex)
@@ -104,6 +108,7 @@ def psi1_g_state(N: int) -> PureState:
 
     For N = 2 the two branches coincide and the state is a product.
     """
+    N = _index(N, "N")
     if N < 1:
         raise ValueError(f"psi1_g_state needs N >= 1, got {N}")
     return _cat(w_state(N), w_tilde(N))
@@ -114,6 +119,7 @@ def psi2(N: int) -> PureState:
 
     For N = 1, ~W_1 = |0> and the state degenerates to |+>|0>.
     """
+    N = _index(N, "N")
     if N < 1:
         raise ValueError(f"psi2 needs N >= 1, got {N}")
     return _cat(w_tilde(N), _all_zeros(N))
@@ -133,6 +139,7 @@ def psi3_concat_ghz(l: int, n_logical: int) -> PureState:
     physical qubits k*l .. k*l + l - 1; logical qubit 0 plays the micro role
     in bipartitions.  Total physical qubits: l * n_logical.
     """
+    l, n_logical = _index(l, "l"), _index(n_logical, "n_logical")
     if l < 1:
         raise ValueError(f"psi3_concat_ghz needs l >= 1, got {l}")
     if n_logical < 2:

@@ -147,8 +147,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "validate":
-        report = experiments.validate_report(progress=print)
-        print(report.lines()[-1])
+        report = experiments.validate_report()
+        print("\n".join(report.lines()))
         return 0 if report.ok else 1
 
     if args.command == "fig1":

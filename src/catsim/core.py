@@ -49,7 +49,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "Bipartition",
-    "Spectrum",
     "tensor",
     "to_density",
     "partial_trace",
@@ -101,10 +100,11 @@ def set_dense_cap(n_qubits: int) -> None:
     4096^2 complex doubles (~268 MB); the default keeps the exact engine
     desk-scale.
     """
+    n_qubits = _index(n_qubits, "dense cap")
     if n_qubits < 1:
         raise ValueError(f"dense cap must be >= 1, got {n_qubits}")
     global _dense_cap
-    _dense_cap = int(n_qubits)
+    _dense_cap = n_qubits
 
 
 def _check_capacity(n_qubits: int) -> None:
@@ -139,17 +139,17 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        _check_capacity(self.n_qubits)
+        n = _index(self.n_qubits, "n_qubits")
+        if n < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n}")
+        _check_capacity(n)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"amplitude vector has length {amps.size}, expected {2**self.n_qubits}"
-            )
+        if amps.shape != (2**n,):
+            raise ValueError(f"amplitude vector has length {amps.size}, expected {2**n}")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= TOL.unit_norm:  # written so that NaN fails
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {TOL.unit_norm}")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property
@@ -192,6 +192,7 @@ class DensityMatrix:
         if _trusted:
             offsets, values = elements
         else:
+            n_qubits = _index(n_qubits, "n_qubits")
             if n_qubits < 1:
                 raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
             _check_capacity(n_qubits)
@@ -221,7 +222,7 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue; >= -1e-10 for every state this package builds."""
-        return hermitian_spectrum(self).minimum
+        return float(hermitian_spectrum(self)[0])
 
 
 @dataclass(frozen=True)
@@ -259,26 +260,6 @@ class Bipartition:
     def split(cls, side_a: Iterable[int], n_qubits: int) -> "Bipartition":
         a = {_index(q, "side_a entry") for q in side_a}
         return cls(tuple(a), tuple(q for q in range(n_qubits) if q not in a))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues of a Hermitian operator, sorted ascending."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
-        if ev.size and np.any(np.diff(ev) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        object.__setattr__(self, "eigenvalues", _readonly(ev))
-
-    @property
-    def minimum(self) -> float:
-        return float(self.eigenvalues[0])
-
-    def sum(self) -> float:
-        return float(self.eigenvalues.sum())
 
 
 def tensor(a, b):
@@ -466,8 +447,9 @@ def _block_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def hermitian_spectrum(op) -> Spectrum:
-    """Eigenvalues of a Hermitian operator, ascending.
+def hermitian_spectrum(op) -> np.ndarray:
+    """Eigenvalues of a Hermitian operator: a fresh, ascending, read-only
+    float64 array.
 
     Accepts a DensityMatrix (a state or a partial transpose), Hermitian by
     construction, or any square ndarray, which is rejected if its
@@ -503,14 +485,14 @@ def hermitian_spectrum(op) -> Spectrum:
         entries = lambda i, j: mat[i, j]
     labels = _block_labels(dim, rows, cols)
     if not labels.any():
-        return Spectrum(np.linalg.eigvalsh(op.elements if isinstance(op, DensityMatrix) else mat))
+        return _readonly(np.linalg.eigvalsh(op.elements if isinstance(op, DensityMatrix) else mat))
     order = np.argsort(labels, kind="stable")
     _, first, sizes = np.unique(labels[order], return_index=True, return_counts=True)
     parts = []
     for size in np.unique(sizes):
         idx = order[first[sizes == size, None] + np.arange(size)]
         parts.append(np.linalg.eigvalsh(entries(idx[:, :, None], idx[:, None, :])).ravel())
-    return Spectrum(np.sort(np.concatenate(parts)))
+    return _readonly(np.sort(np.concatenate(parts)))
 
 
 def permute_qubits(state, permutation: Sequence[int]):

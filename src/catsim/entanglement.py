@@ -39,7 +39,7 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """
     if cut.n_qubits != rho.n_qubits:
         raise ValueError(f"cut covers {cut.n_qubits} qubits, state has {rho.n_qubits}")
-    return _pt_negativity(hermitian_spectrum(partial_transpose(rho, cut.side_a)).eigenvalues)
+    return _pt_negativity(hermitian_spectrum(partial_transpose(rho, cut.side_a)))
 
 
 def _pt_negativity(eigenvalues) -> float:

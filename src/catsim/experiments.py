@@ -14,6 +14,7 @@ import io
 import json
 import logging
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional, Sequence
@@ -103,9 +104,6 @@ class SweepRecord:
                 f"entanglement {self.entanglement!r} outside [0, 1] for a qubit-vs-rest cut"
             )
 
-    def sort_key(self):
-        return (self.state, self.N, self.m, self.p, self.engine)
-
 
 @dataclass(frozen=True)
 class LossRecord:
@@ -172,7 +170,7 @@ def _map_points(fn: Callable, points: Sequence, threads: int) -> list:
 
 def _flatten_sorted(chunks: Iterable) -> list:
     records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: r.sort_key())
+    records.sort(key=operator.attrgetter("state", "N", "m", "p", "engine"))
     return records
 
 
@@ -550,7 +548,7 @@ def _oracle_spectra() -> dict:
     grid = [(N, m, 0.05 * i) for N in range(2, 11) for m in range(0, N - 1) if N + 1 - m <= 9
             for i in range(0, 11)]
     return {
-        (N, m, p): hermitian_spectrum(partial_transpose(noisy_wcat(N, m, p), (0,))).eigenvalues
+        (N, m, p): hermitian_spectrum(partial_transpose(noisy_wcat(N, m, p), (0,)))
         for N, m, p in grid
     }
 
@@ -590,7 +588,7 @@ def _check_truncation(spectra: dict) -> CheckResult:
     def gap(N, m, p, ev):
         """|exact - two-root| log-negativity, and whether both see entanglement."""
         nu_exact = _pt_negativity(ev)
-        nu_trunc = analytic.approx_negativity(WCatParams(N=N, m=m, p=p))
+        nu_trunc = analytic.dominant_eigenvalues(WCatParams(N=N, m=m, p=p)).negativity
         return abs(_ebits(nu_exact) - _ebits(nu_trunc)), min(nu_exact, nu_trunc) > TOL.negativity_floor
 
     gaps = {}
@@ -682,7 +680,7 @@ def _check_determinism() -> CheckResult:
     )
 
 
-def validate_report(progress: Optional[Callable[[str], None]] = None) -> ValidationReport:
+def validate_report() -> ValidationReport:
     """Run the whole invariant battery.
 
     This is where the closed form meets the dense oracle: the loss law at
@@ -691,23 +689,16 @@ def validate_report(progress: Optional[Callable[[str], None]] = None) -> Validat
     of PT spectra over the closed form's validity grid (remnant >= 2, at
     most 9 surviving qubits).
     """
-    checks = []
-
-    def run(fn, *args):
-        result = fn(*args)
-        checks.append(result)
-        if progress is not None:
-            progress(f"[{'PASS' if result.ok else 'FAIL'}] {result.name}: {result.detail}")
-
-    run(_check_state_invariants)
-    run(_check_channel_algebra)
-    run(_check_permutation_symmetry)
-    run(_check_loss_law)
     spectra = _oracle_spectra()
-    run(_check_oracle_equivalence, spectra)
-    run(_check_truncation, spectra)
-    run(_check_reductions)
-    run(_check_lambda_monotone)
-    run(_check_bipartition_symmetry)
-    run(_check_determinism)
-    return ValidationReport(tuple(checks))
+    return ValidationReport((
+        _check_state_invariants(),
+        _check_channel_algebra(),
+        _check_permutation_symmetry(),
+        _check_loss_law(),
+        _check_oracle_equivalence(spectra),
+        _check_truncation(spectra),
+        _check_reductions(),
+        _check_lambda_monotone(),
+        _check_bipartition_symmetry(),
+        _check_determinism(),
+    ))

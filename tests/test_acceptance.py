@@ -28,7 +28,6 @@ from catsim import (
     WCatParams,
     TOL,
     approx_log_negativity,
-    approx_negativity,
     critical_visibility,
     dominant_eigenvalues,
     hermitian_spectrum,
@@ -186,7 +185,7 @@ def test_criterion_3_analytic_eigenvalue_fidelity():
                 p = 0.05 * i
                 points += 1
                 params = WCatParams(N=N, m=m, p=p)
-                ev = hermitian_spectrum(partial_transpose(noisy_wcat(N, m, p), (0,))).eigenvalues
+                ev = hermitian_spectrum(partial_transpose(noisy_wcat(N, m, p), (0,)))
                 pair = dominant_eigenvalues(params)
                 worst_match = max(
                     worst_match,
@@ -198,7 +197,7 @@ def test_criterion_3_analytic_eigenvalue_fidelity():
                     if abs(ev[0] - pair.lambda1) > 1e-9:
                         min_failures.append((N, m, round(p, 2), float(pair.lambda1), float(ev[0])))
                 else:
-                    nu = approx_negativity(params)
+                    nu = pair.negativity
                     if nu != 0.0:
                         false_claims.append((N, m, round(p, 2), nu))
     ok_match = worst_match <= 1e-9

@@ -11,7 +11,6 @@ from catsim import (
     CoefficientSet,
     WCatParams,
     approx_log_negativity,
-    approx_negativity,
     coefficients,
     dominant_eigenvalues,
     hermitian_spectrum,
@@ -46,12 +45,6 @@ GOLDEN_8_1_01 = {
 
 
 class TestWCatParams:
-    def test_derived_quantities(self):
-        params = WCatParams(N=10, m=3, p=0.4)
-        assert params.p_tilde == 0.8
-        assert params.remnant == 7
-        assert params.n_tilde == 3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WCatParams(N=0, m=0, p=0.0)
@@ -72,7 +65,9 @@ class TestWCatParams:
 
     def test_numpy_integer_counts_pass(self):
         params = WCatParams(np.int64(8), np.int32(1), 0.1)
+        assert type(params.N) is int and type(params.m) is int
         assert coefficients(params) == coefficients(WCatParams(8, 1, 0.1))
+        assert all(type(getattr(coefficients(params), f.name)) is float for f in fields(CoefficientSet))
         assert large_n_threshold(np.int64(10), np.int64(0)) == large_n_threshold(10, 0)
 
 
@@ -260,7 +255,7 @@ class TestDominantEigenvalues:
 
     def test_roots_are_exact_oracle_eigenvalues(self):
         rho = noisy_wcat(4, 1, 0.1)
-        ev = hermitian_spectrum(partial_transpose(rho, (0,))).eigenvalues
+        ev = hermitian_spectrum(partial_transpose(rho, (0,)))
         pair = dominant_eigenvalues(WCatParams(N=4, m=1, p=0.1))
         assert abs(ev[0] - pair.lambda1) <= 1e-10
         assert np.min(np.abs(ev - pair.lambda2)) <= 1e-10
@@ -269,14 +264,14 @@ class TestDominantEigenvalues:
         # at N - m = 2 the mixed-symmetry sector is the lone singlet; its
         # 1x1 block must still be an exact eigenvalue of the oracle
         rho = noisy_wcat(5, 3, 0.3)
-        ev = hermitian_spectrum(partial_transpose(rho, (0,))).eigenvalues
+        ev = hermitian_spectrum(partial_transpose(rho, (0,)))
         pair = dominant_eigenvalues(WCatParams(N=5, m=3, p=0.3))
         assert np.min(np.abs(ev - pair.lambda1)) <= 1e-12
         assert np.min(np.abs(ev - pair.lambda2)) <= 1e-12
 
     def test_second_eigenvalue_multiplicity_in_spectrum(self):
         rho = noisy_wcat(8, 1, 0.1)
-        ev = hermitian_spectrum(partial_transpose(rho, (0,))).eigenvalues
+        ev = hermitian_spectrum(partial_transpose(rho, (0,)))
         pair = dominant_eigenvalues(WCatParams(N=8, m=1, p=0.1))
         assert np.sum(np.abs(ev - pair.lambda1) < 1e-10) == 1
         assert np.sum(np.abs(ev - pair.lambda2) < 1e-10) == 6
@@ -324,7 +319,7 @@ class TestApproxLogNegativity:
         assert abs(got - math.log2(1.9)) <= 1e-12
 
     def test_zero_in_separable_regime(self):
-        assert approx_negativity(WCatParams(N=4, m=0, p=0.6)) == 0.0
+        assert dominant_eigenvalues(WCatParams(N=4, m=0, p=0.6)).negativity == 0.0
 
 
 class TestLargeNThreshold:

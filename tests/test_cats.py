@@ -180,6 +180,21 @@ class TestSharedInvariants:
                 assert np.array_equal(permute_qubits(psi, perm).amplitudes, psi.amplitudes)
 
 
+@pytest.mark.parametrize("call,name", [
+    pytest.param(lambda: w_state(2.5), "N", id="w_state"),
+    pytest.param(lambda: w_tilde(2.5), "N", id="w_tilde"),
+    pytest.param(lambda: w_cat(2.5), "N", id="w_cat"),
+    pytest.param(lambda: ghz_cat(2.5), "N", id="ghz_cat"),
+    pytest.param(lambda: psi1_g_state(2.5), "N", id="psi1_g_state"),
+    pytest.param(lambda: psi2(2.5), "N", id="psi2"),
+    pytest.param(lambda: psi3_concat_ghz(2.5, 2), "l", id="psi3_concat_ghz-l"),
+    pytest.param(lambda: psi3_concat_ghz(2, 2.5), "n_logical", id="psi3_concat_ghz-n_logical"),
+])
+def test_float_counts_are_rejected(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got 2.5"):
+        call()
+
+
 class TestBuildCat:
     def test_dispatch(self):
         assert_allclose(build_cat(CatStateKind.W_CAT, 3).amplitudes, w_cat(3).amplitudes)

@@ -233,7 +233,7 @@ class TestNoisyWcat:
 
     def test_matches_closed_form_eigenvalues(self):
         rho = noisy_wcat(4, 1, 0.1)
-        ev = hermitian_spectrum(partial_transpose(rho, (0,))).eigenvalues
+        ev = hermitian_spectrum(partial_transpose(rho, (0,)))
         pair = dominant_eigenvalues(WCatParams(N=4, m=1, p=0.1))
         assert abs(ev[0] - pair.lambda1) <= 1e-10
         assert np.min(np.abs(ev - pair.lambda2)) <= 1e-10

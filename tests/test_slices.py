@@ -139,7 +139,7 @@ def test_cat_pipeline_bit_identical(kind, N, m):
         pt = partial_transpose(noisy, (0,))
         expected_pt = dense_transpose(expected, n, (0,))
         assert_same_entries(pt, expected_pt)
-        spectrum = hermitian_spectrum(pt).eigenvalues
+        spectrum = hermitian_spectrum(pt)
         assert np.array_equal(spectrum.view(np.uint64), dense_spectrum(expected_pt).view(np.uint64))
     for q in range(n):  # every qubit, each at one of the nonzero strengths
         p = (0.05, 0.3, 1.0)[q % 3]
