@@ -59,10 +59,10 @@ class WCatParams:
     """Coordinates of one noisy W-cat configuration.
 
     N macro qubits, m of them lost (0 <= m <= N), depolarizing strength
-    p in [0, 1]; N and m are stored as ints.  The closed form is written in
-    p_tilde = 1 - p/2 in [1/2, 1], the remnant R = N - m, and
-    n_tilde = N - m - 4 (may be negative; it only scales subdominant terms
-    and is used as written).
+    p in [0, 1]; N and m are stored as ints and p as a float.  The closed
+    form is written in p_tilde = 1 - p/2 in [1/2, 1], the remnant R = N - m,
+    and n_tilde = N - m - 4 (may be negative; it only scales subdominant
+    terms and is used as written).
     """
 
     N: int
@@ -75,6 +75,7 @@ class WCatParams:
         object.__setattr__(self, "m", m)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
+        object.__setattr__(self, "p", float(self.p))
 
 
 @dataclass(frozen=True)

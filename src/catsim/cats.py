@@ -165,5 +165,5 @@ def build_cat(kind: CatStateKind, N: int, l: int = 2) -> PureState:
     if kind is CatStateKind.PSI2:
         return psi2(N)
     if kind is CatStateKind.PSI3_CONCAT:
-        return psi3_concat_ghz(l, N + 1)
+        return psi3_concat_ghz(l, _index(N, "N") + 1)
     raise ValueError(f"unknown cat-state kind {kind!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable
 
-from .core import TOL, Bipartition, DensityMatrix, hermitian_spectrum, partial_transpose, to_density
+from .core import TOL, Bipartition, DensityMatrix, _index, hermitian_spectrum, partial_transpose, to_density
 from .cats import CatStateKind, build_cat
 from .noise import depolarize_all, lose_particles
 
@@ -62,6 +62,7 @@ def critical_visibility(N: int) -> float:
     Numerator and denominator are scaled by 2^(1-N), so 2^(N-1) is never
     formed and the value stays finite (reaching 0.0) at any N.
     """
+    N = _index(N, "N")
     if N < 1:
         raise ValueError(f"critical_visibility needs N >= 1, got {N}")
     s = N * 2.0 ** (1 - N)

@@ -70,6 +70,13 @@ class TestWCatParams:
         assert all(type(getattr(coefficients(params), f.name)) is float for f in fields(CoefficientSet))
         assert large_n_threshold(np.int64(10), np.int64(0)) == large_n_threshold(10, 0)
 
+    def test_numpy_p_is_stored_as_float(self):
+        params = WCatParams(8, 1, np.float64(0.1))
+        assert type(params.p) is float
+        assert type(coefficients(params).a) is float
+        assert type(dominant_eigenvalues(params).lambda1) is float
+        assert dominant_eigenvalues(params) == dominant_eigenvalues(WCatParams(8, 1, 0.1))
+
 
 class TestCoefficients:
     def test_golden_values(self):

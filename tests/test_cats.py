@@ -6,6 +6,7 @@ from catsim import (
     Bipartition,
     CatStateKind,
     build_cat,
+    critical_visibility,
     ghz_cat,
     log_negativity,
     lose_particles,
@@ -189,6 +190,9 @@ class TestSharedInvariants:
     pytest.param(lambda: psi2(2.5), "N", id="psi2"),
     pytest.param(lambda: psi3_concat_ghz(2.5, 2), "l", id="psi3_concat_ghz-l"),
     pytest.param(lambda: psi3_concat_ghz(2, 2.5), "n_logical", id="psi3_concat_ghz-n_logical"),
+    pytest.param(lambda: build_cat(CatStateKind.PSI3_CONCAT, 2.5), "N", id="build_cat-psi3"),
+    pytest.param(lambda: Bipartition.micro_macro(2.5), "n_qubits", id="Bipartition.micro_macro"),
+    pytest.param(lambda: critical_visibility(2.5), "N", id="critical_visibility"),
 ])
 def test_float_counts_are_rejected(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got 2.5"):

@@ -17,6 +17,7 @@ from catsim import (
     Bipartition,
     CatStateKind,
     DensityMatrix,
+    PureState,
     build_cat,
     depolarize_all,
     depolarize_qubit,
@@ -26,6 +27,7 @@ from catsim import (
     lose_particles,
     partial_transpose,
     permute_qubits,
+    psi2,
     tensor,
     to_density,
     w_cat,
@@ -91,7 +93,12 @@ def dense_block_labels(mat: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def dense_spectrum(mat: np.ndarray) -> np.ndarray:
+def dense_spectrum(mat: np.ndarray, real_if_exact: bool = True) -> np.ndarray:
+    """Block-wise spectrum over the full nonzero pattern.  A matrix with no
+    nonzero imaginary part is solved as its real part, as
+    ``hermitian_spectrum`` does, unless ``real_if_exact`` is False."""
+    if real_if_exact and not mat.imag.any():
+        mat = mat.real
     labels = dense_block_labels(mat)
     if not labels.any():
         return np.linalg.eigvalsh(mat)
@@ -141,6 +148,7 @@ def test_cat_pipeline_bit_identical(kind, N, m):
         assert_same_entries(pt, expected_pt)
         spectrum = hermitian_spectrum(pt)
         assert np.array_equal(spectrum.view(np.uint64), dense_spectrum(expected_pt).view(np.uint64))
+        assert np.max(np.abs(spectrum - dense_spectrum(expected_pt, real_if_exact=False))) <= 1e-12
     for q in range(n):  # every qubit, each at one of the nonzero strengths
         p = (0.05, 0.3, 1.0)[q % 3]
         np.copyto(expected, base)
@@ -148,6 +156,82 @@ def test_cat_pipeline_bit_identical(kind, N, m):
         assert_same_entries(depolarize_qubit(lost, q, p), expected)
     assert_same_entries(depolarize_qubit(lost, n - 1, 0.0), base)
     assert_same_entries(lost, base)  # the input is left unchanged
+
+
+@pytest.fixture
+def solved_dtypes(monkeypatch):
+    """The dtype of every matrix stack handed to ``np.linalg.eigvalsh``."""
+    seen = []
+    solve = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a.dtype)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return seen
+
+
+def _noisy_pt(psi: PureState) -> DensityMatrix:
+    return partial_transpose(depolarize_all(to_density(psi), 0.2), (0,))
+
+
+def _phased_psi2(N: int) -> PureState:
+    """psi2 with the phase e^{0.3i} on the micro qubit's |1> branch: a local
+    unitary, so the same PT spectrum, reached through complex entries."""
+    amps = build_cat(CatStateKind.PSI2, N).amplitudes.copy()
+    amps[len(amps) // 2:] *= np.exp(0.3j)
+    return PureState(N + 1, amps)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda rng: random_pure(rng, 5), id="random_pure"),  # one block
+    pytest.param(lambda rng: _phased_psi2(8), id="psi2-phased"),
+])
+def test_complex_entries_keep_the_complex_solve(make, rng, solved_dtypes):
+    pt = _noisy_pt(make(rng))
+    assert pt.values.imag.any()
+    spectrum = hermitian_spectrum(pt)
+    assert set(solved_dtypes) == {np.dtype(complex)}
+    expected = dense_spectrum(pt.elements, real_if_exact=False)
+    assert np.array_equal(spectrum.view(np.uint64), expected.view(np.uint64))
+
+
+def test_a_local_phase_leaves_the_pt_spectrum():
+    phased = hermitian_spectrum(_noisy_pt(_phased_psi2(8)))
+    assert np.max(np.abs(phased - hermitian_spectrum(_noisy_pt(psi2(8))))) <= 1e-12
+
+
+def _real_pure(rng, n_qubits: int) -> PureState:
+    amps = rng.standard_normal(2**n_qubits)
+    return PureState(n_qubits, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda rng: w_cat(6), id="wcat"),
+    pytest.param(lambda rng: _real_pure(rng, 5), id="real-one-block"),
+])
+def test_signed_zero_imaginary_parts_are_solved_as_real(make, rng, solved_dtypes):
+    pt = _noisy_pt(make(rng))
+    mat = pt.elements.copy()
+    mat.imag = np.where(rng.random(mat.shape) < 0.5, -0.0, 0.0)
+    rho = DensityMatrix(pt.n_qubits, mat)
+    assert np.signbit(mat.imag).any() and np.signbit(rho.values.imag).any()
+    for op in (mat, rho):
+        solved_dtypes.clear()
+        spectrum = hermitian_spectrum(op)
+        assert set(solved_dtypes) == {np.dtype(np.float64)}
+        assert np.array_equal(spectrum.view(np.uint64), dense_spectrum(mat).view(np.uint64))
+
+
+def test_one_tiny_imaginary_part_keeps_the_complex_solve(solved_dtypes):
+    mat = _noisy_pt(w_cat(6)).elements.copy()
+    i, j = np.argwhere(np.tril(mat, -1))[0]
+    mat[i, j] += 1e-300j
+    spectrum = hermitian_spectrum(mat)
+    assert set(solved_dtypes) == {np.dtype(complex)}
+    expected = dense_spectrum(mat, real_if_exact=False)
+    assert np.array_equal(spectrum.view(np.uint64), expected.view(np.uint64))
 
 
 def _states(rng):
